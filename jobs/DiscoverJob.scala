@@ -33,11 +33,7 @@ object DiscoverJob {
     }
 
     for (q <- pc.queries(setName)) {
-      val filter = (rowSk, hash) match {
-        case (Some(sk), Some(h)) => Some((sk, MateSpark.querySuperKeys(spark, q, h)))
-        case _                   => None
-      }
-      val r = MateSpark.discover(pc.cands((setName, q.id)), pc.rowVals, filter, k)
+      val r = MateSpark.discover(pc.cands((setName, q.id)), pc.rowVals, MateSpark.rowFilter(spark, rowSk, hash, q), k)
       println(s"query ${q.id}: top-$k = ${r.topK.mkString(", ")}")
       println(s"  metrics: ${r.metrics}")
     }

@@ -82,14 +82,9 @@ object JosieLite {
       k: Int,
       tables: DataFrame,
       fetched: Long): Result = {
-    val queryDf = MateSpark.prepareQuery(spark, q)
-    val cand = MateSpark.candidates(postingLists, queryDf)
+    val cand = MateSpark.candidates(postingLists, MateSpark.prepareQuery(spark, q))
       .join(tables, Seq("tableId"))
-      .cache()
-    cand.count()
-    try {
-      val r = MateSpark.discover(cand, rowVals, None, k)
-      Result(r.topK, fetched, r.metrics)
-    } finally { cand.unpersist(); () }
+    val r = MateSpark.discover(cand, rowVals, None, k)
+    Result(r.topK, fetched, r.metrics)
   }
 }

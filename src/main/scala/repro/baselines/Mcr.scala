@@ -3,7 +3,7 @@ package repro.baselines
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
-import repro.core.{InitColumn, MateSpark}
+import repro.core.MateSpark
 import repro.corpus.CorpusGen.QueryTable
 import repro.hash.SuperKeyHash
 
@@ -28,34 +28,25 @@ object Mcr {
     val tuples = q.tuples.map(_.map(SuperKeyHash.normalize))
 
     // One fetch per query column (the |Q| independent index queries the
-    // running example in §3 wants to avoid).
-    var plItems = 0L
-    val perColumn = (0 until qSize).map { i =>
-      val values = tuples.map(_(i)).distinct.toDF("value")
-      val hits   = postingLists.join(values, "value").select($"tableId", $"rowId").distinct()
-        .withColumn("qcol", lit(i))
-      plItems += postingLists.join(values, "value").count()
-      hits
-    }
+    // running example in §3 wants to avoid), evaluated in one join: a
+    // posting-list item per (value, query column) pair, counted per row.
+    val colValues = tuples.flatMap(_.zipWithIndex).distinct.toDF("value", "qcol")
+    val perRow = postingLists.join(broadcast(colValues), "value")
+      .groupBy("tableId", "rowId", "qcol").count()
+      .collect()
+    val plItems = perRow.map(_.getLong(3)).sum
 
     // Rows containing a value of every query column (FP-laden superset
     // of the joinable rows — combinations may come from different rows
     // of the query table).
-    val intersected = perColumn.reduce(_ unionByName _)
-      .groupBy("tableId", "rowId")
-      .agg(countDistinct($"qcol") as "nc")
-      .filter($"nc" === qSize)
-      .select("tableId", "rowId")
+    val intersected = perRow.groupBy(r => (r.getLong(0), r.getLong(1))).iterator
+      .collect { case (row, cols) if cols.length == qSize => row }
+      .toSeq.toDF("tableId", "rowId")
 
     // Bind to query tuples via the init column (as MATE does) and verify.
-    val queryDf = MateSpark.prepareQuery(spark, q)
-    val cand = MateSpark.candidates(postingLists, queryDf)
-      .join(intersected, Seq("tableId", "rowId"))
-      .cache()
-    cand.count()
-    try {
-      val r = MateSpark.discover(cand, rowVals, None, k)
-      Result(r.topK, plItems, r.metrics)
-    } finally { cand.unpersist(); () }
+    val cand = MateSpark.candidates(postingLists, MateSpark.prepareQuery(spark, q))
+      .join(broadcast(intersected), Seq("tableId", "rowId"))
+    val r = MateSpark.discover(cand, rowVals, None, k)
+    Result(r.topK, plItems, r.metrics)
   }
 }

@@ -47,17 +47,26 @@ object Joinability {
   def rowJoinable(tuple: Seq[String], row: Map[Int, String]): Boolean =
     rowMappings(tuple, row, cap = 1).nonEmpty
 
+  /** Joinability of one table from its verified rows (§2, Eq. 2): the
+    * best single mapping's distinct-tuple count. `hits` holds, per
+    * verified (row × query tuple) pair, the tuple id and the mappings
+    * [[rowMappings]] found; 0 when no row matches under any mapping.
+    * Both engines and the ground truth score tables with this fold.
+    */
+  def bestMappingCount(hits: IterableOnce[(Int, Seq[String])]): Long = {
+    val perMapping = scala.collection.mutable.Map.empty[String, scala.collection.mutable.Set[Int]]
+    for ((ti, mappings) <- hits.iterator; m <- mappings)
+      perMapping.getOrElseUpdate(m, scala.collection.mutable.Set.empty) += ti
+    perMapping.valuesIterator.map(_.size.toLong).maxOption.getOrElse(0L)
+  }
+
   /** Ground-truth joinability of one candidate table against a set of
-    * distinct query tuples: the best single mapping's distinct-tuple
-    * match count (local reference implementation used by tests and
-    * Table 1 statistics; the Spark dataflow computes the same quantity
-    * distributively).
+    * distinct query tuples (local reference implementation used by tests
+    * and Table 1 statistics).
     */
   def groundTruth(tuples: Seq[Seq[String]], rows: Iterable[Map[Int, String]]): Long = {
     val normTuples = tuples.map(_.map(SuperKeyHash.normalize)).distinct
-    val perMapping = scala.collection.mutable.Map.empty[String, scala.collection.mutable.Set[Int]]
-    for (row <- rows; (t, ti) <- normTuples.zipWithIndex; m <- rowMappings(t, row))
-      perMapping.getOrElseUpdate(m, scala.collection.mutable.Set.empty) += ti
-    if (perMapping.isEmpty) 0L else perMapping.values.map(_.size).max.toLong
+    bestMappingCount(
+      for (row <- rows.iterator; (t, ti) <- normTuples.iterator.zipWithIndex) yield (ti, rowMappings(t, row)))
   }
 }

@@ -112,16 +112,13 @@ object MateLocal {
         // j_k, so its partial candidates are discarded unverified.
         if (candidatePairs.nonEmpty && !skipped) {
           val rows = fetchRows(tableId)
-          val perMapping = scala.collection.mutable.Map.empty[String, scala.collection.mutable.Set[Int]]
-          for ((pl, tid, tuple) <- candidatePairs) {
-            rows.get(pl.rowId).foreach { rv =>
+          val j = Joinability.bestMappingCount(candidatePairs.flatMap { case (pl, tid, tuple) =>
+            rows.get(pl.rowId).map { rv =>
               counters.rowsVerified += 1
               counters.cellsCompared += rv.size
-              Joinability.rowMappings(tuple, rv)
-                .foreach(m => perMapping.getOrElseUpdate(m, scala.collection.mutable.Set.empty) += tid)
+              (tid, Joinability.rowMappings(tuple, rv))
             }
-          }
-          val j = if (perMapping.isEmpty) 0L else perMapping.values.map(_.size).max.toLong
+          })
           if (j > 0) {
             if (topK.size < k) topK.enqueue((tableId, j))
             else if (j > jk) { topK.dequeue(); topK.enqueue((tableId, j)) }

@@ -1,32 +1,45 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import scala.collection.mutable.ArrayBuffer
+
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 
 import repro.corpus.CorpusGen.QueryTable
 import repro.hash.SuperKeyHash
 import repro.index.InvertedIndex
+import repro.util.Bits
 
-/** MATE's online discovery phase (§6) as a Spark dataflow.
+/** MATE's online discovery phase (§6) as a fetch plus one executor pass.
   *
-  * The four phases map onto the dataflow as:
+  * The paper fetches the init-column posting lists once and then runs
+  * one per-table loop: mask the rows, verify the survivors, keep the
+  * top-k (Algorithm 1). A query here costs two Spark jobs:
   *
-  *  1. '''initialization''' — [[prepareQuery]] picks the init column by
-  *     minimum cardinality (§6.1) and builds a small query DataFrame of
-  *     distinct key tuples; [[candidates]] joins it with the posting
-  *     lists — this is the fetch step whose cost the paper excludes
-  *     from runtimes (§7.2), so benches cache its result.
-  *  2. '''table filtering''' — the sequential early-termination rules
-  *     (Algorithm 1 lines 9/14) are inherently order-dependent, so the
-  *     distributed variant evaluates all candidate tables; the faithful
-  *     sequential rules live in [[MateLocal]].
-  *  3. '''row filtering''' — join candidate rows with per-row super
-  *     keys and keep only rows whose super key masks the query key's
-  *     OR-aggregated hash (§6.3): `qsk ⊆ sk` via a UDF on binary
-  *     columns.
-  *  4. '''calculateJ''' — join surviving rows with the row-value maps,
-  *     enumerate matching column mappings per row (§2), and take, per
-  *     table, the best single mapping's distinct-tuple count.
+  *  1. '''fetch''' — the init column is the one of minimum cardinality
+  *     (§6.1); the posting-list items holding a tuple's init value are
+  *     collected to the driver as distinct `(tableId, rowId, qTupleId)`
+  *     candidate pairs, as the paper fetches from Vertica. The paper
+  *     excludes this step from runtimes (§7.2), so benches cache
+  *     [[candidates]] and call [[discover]], which collects them.
+  *  2. '''row filtering + calculateJ''', one job — the candidate tuple
+  *     ids of each row reach the executors as a broadcast variable. With
+  *     a hash, each row keeps the tuple ids whose query super key its own
+  *     super key masks (`qsk ⊆ sk`, §6.3). The surviving rows are joined
+  *     with their row-value maps; both sides are partitioned on
+  *     `(tableId, rowId)`, so nothing shuffles.
+  *     [[Joinability.rowMappings]] enumerates each surviving pair's
+  *     column mappings on the executors, and one compact record per
+  *     verified row comes back: table, pairs, cells, and the matching
+  *     tuple ids with their mappings.
+  *  3. '''top-k''', on the driver — the records fold into [[Metrics]]
+  *     and, per table, into the best mapping's distinct-tuple count
+  *     ([[Joinability.bestMappingCount]]); the k best under
+  *     `(-j, tableId)` are returned.
+  *
+  * The sequential table-filter rules (Algorithm 1 lines 9/14) depend on
+  * the scan order; the dataflow evaluates every candidate table, and the
+  * faithful sequential rules live in [[MateLocal]].
   */
 object MateSpark {
 
@@ -53,14 +66,17 @@ object MateSpark {
 
   final case class Result(topK: Seq[(Long, Long)], metrics: Metrics)
 
+  /** Normalised key tuples of the query; a tuple's index is its `qTupleId`. */
+  private def normTuples(q: QueryTable): Seq[Seq[String]] =
+    q.tuples.map(_.map(SuperKeyHash.normalize))
+
   /** Distinct key tuples of the query with init-column binding values:
     * `(qTupleId, initValue, tuple)`.
     */
   def prepareQuery(spark: SparkSession, q: QueryTable): DataFrame = {
     import spark.implicits._
     val initCol = InitColumn.byCardinality(q.rows)
-    val tuples  = q.tuples.map(_.map(SuperKeyHash.normalize))
-    tuples.zipWithIndex
+    normTuples(q).zipWithIndex
       .map { case (t, i) => (i, t(initCol), t) }
       .toDF("qTupleId", "initValue", "tuple")
   }
@@ -69,24 +85,38 @@ object MateSpark {
     * lists — the fetch phase. One pair per corpus row containing the
     * tuple's init value in any column (the mapping is unknown, §2).
     */
-  def candidates(postingLists: DataFrame, queryDf: DataFrame): DataFrame =
-    postingLists.join(queryDf, postingLists("value") === queryDf("initValue"))
+  def candidates(postingLists: DataFrame, queryDf: DataFrame): DataFrame = {
+    val q = broadcast(queryDf)
+    postingLists.join(q, postingLists("value") === q("initValue"))
       .select("tableId", "rowId", "qTupleId", "tuple")
       .distinct()
+  }
 
   /** Per-tuple query super keys `(qTupleId, qsk)` — the OR aggregation
     * of the hash of each key value (§6.1 line 6).
     */
   def querySuperKeys(spark: SparkSession, q: QueryTable, hash: SuperKeyHash): DataFrame = {
     import spark.implicits._
-    q.tuples.map(_.map(SuperKeyHash.normalize)).zipWithIndex
+    normTuples(q).zipWithIndex
       .map { case (t, i) => (i, hash.superKey(t)) }
       .toDF("qTupleId", "qsk")
   }
 
-  /** Run row filtering + verification + top-k on prepared inputs.
+  /** The `filter` argument of [[discover]]: `Some((rowSk, querySk))`
+    * when both the row super keys and their hash are given, else `None`
+    * (SCR).
+    */
+  def rowFilter(
+      spark: SparkSession,
+      rowSk: Option[DataFrame],
+      hash: Option[SuperKeyHash],
+      q: QueryTable): Option[(DataFrame, DataFrame)] =
+    for (sk <- rowSk; h <- hash) yield (sk, querySuperKeys(spark, q, h))
+
+  /** Run row filtering + verification + top-k on fetched candidates.
     *
-    * @param cand     cached candidate pairs from [[candidates]]
+    * @param cand     candidate pairs from [[candidates]] (cached by
+    *                 benches); collected to the driver here
     * @param rowVals  per-row value maps ([[InvertedIndex.rowValues]])
     * @param filter   `Some((rowSk, querySk))` for MATE with a hash;
     *                 `None` for the SCR baseline (exact checks only)
@@ -97,66 +127,21 @@ object MateSpark {
       rowVals: DataFrame,
       filter: Option[(DataFrame, DataFrame)],
       k: Int): Result = {
-    val spark = cand.sparkSession
-    import spark.implicits._
-
     val t0 = System.nanoTime()
-    val maskUdf = udf((qsk: Array[Byte], sk: Array[Byte]) => repro.util.Bits.subsetOf(qsk, sk))
-    val mappingsUdf = udf((tuple: Seq[String], vals: Map[Int, String]) =>
-      Joinability.rowMappings(tuple, vals))
-
-    val candPairs = cand.count() // cached upstream; the fetched PL volume
-    val (filtered, maskChecks) = filter match {
-      case Some((rowSk, querySk)) =>
-        val joined = cand.join(rowSk, Seq("tableId", "rowId")).join(querySk, Seq("qTupleId"))
-        // one subset test per candidate pair (§6.3's "single operation")
-        (joined.filter(maskUdf($"qsk", $"sk")).select("tableId", "rowId", "qTupleId", "tuple"), candPairs)
-      case None => (cand, 0L)
+    val fetched = cand.select("tableId", "rowId", "qTupleId", "tuple").collect()
+    val tuples  = fetched.iterator.map(r => r.getInt(2) -> r.getSeq[String](3)).toMap
+    val pairs   = fetched.map(r => (r.getLong(0), r.getLong(1), r.getInt(2))).distinct
+    val masks   = filter.map { case (rowSk, querySk) =>
+      (rowSk, querySk.select("qTupleId", "qsk").collect().map(r => r.getInt(0) -> r.getAs[Array[Byte]](1)).toMap)
     }
-
-    val verified = filtered
-      .join(rowVals, Seq("tableId", "rowId"))
-      .select($"tableId", $"rowId", $"qTupleId",
-        mappingsUdf($"tuple", $"vals") as "mappings",
-        size(map_keys($"vals")) as "ncells")
-      .cache()
-
-    val pairAgg = verified
-      .agg(count(lit(1)) as "pairs", coalesce(sum($"ncells"), lit(0L)) as "cells").head()
-    val rowAgg = verified
-      .groupBy("tableId", "rowId").agg(max(size($"mappings")) as "m")
-      .agg(count(lit(1)) as "rows",
-           coalesce(sum(when($"m" > 0, 1L).otherwise(0L)), lit(0L)) as "tp").head()
-
-    val topK = verified
-      .filter(size($"mappings") > 0)
-      .select($"tableId", $"qTupleId", explode($"mappings") as "mapping")
-      .distinct()
-      .groupBy("tableId", "mapping").agg(countDistinct($"qTupleId") as "j")
-      .groupBy("tableId").agg(max($"j") as "j")
-      .orderBy(desc("j"), asc("tableId"))
-      .limit(k)
-      .collect()
-      .map(r => (r.getLong(0), r.getLong(1)))
-      .toSeq
-
-    verified.unpersist()
-    val millis = (System.nanoTime() - t0) / 1000000
-
-    val rows = rowAgg.getLong(0)
-    val tp   = rowAgg.getLong(1)
-    Result(topK, Metrics(
-      candidatePairs = candPairs,
-      maskChecks = maskChecks,
-      verifiedPairs = pairAgg.getLong(0),
-      rowsChecked = rows,
-      tpRows = tp,
-      fpRows = rows - tp,
-      cellsCompared = pairAgg.getLong(1),
-      millis = millis))
+    verify(cand.sparkSession, pairs, tuples, rowVals, masks, k, t0)
   }
 
-  /** End-to-end convenience: fetch + discover for one query table. */
+  /** End-to-end: fetch + filter + verify + top-k for one query table.
+    * The fetch is one job: it filters the posting lists on the init
+    * values, and the driver pairs each item with the tuples holding its
+    * value. `millis` covers the steps after it, as in [[discover]].
+    */
   def run(
       spark: SparkSession,
       postingLists: DataFrame,
@@ -165,14 +150,94 @@ object MateSpark {
       hash: Option[SuperKeyHash],
       q: QueryTable,
       k: Int): Result = {
-    val queryDf = prepareQuery(spark, q)
-    val cand    = candidates(postingLists, queryDf).cache()
-    cand.count()
-    val filter = (rowSk, hash) match {
-      case (Some(sk), Some(h)) => Some((sk, querySuperKeys(spark, q, h)))
-      case _                   => None
+    val tuples  = normTuples(q)
+    val initCol = InitColumn.byCardinality(q.rows)
+    val byInit  = tuples.indices.groupBy(tuples(_)(initCol))
+    val pairs = postingLists.filter(col("value").isin(byInit.keys.toSeq: _*))
+      .select("tableId", "rowId", "value").collect()
+      .flatMap(r => byInit(r.getString(2)).map((r.getLong(0), r.getLong(1), _))).distinct
+    val t0 = System.nanoTime()
+    val masks = for (sk <- rowSk; h <- hash) yield (sk, tuples.indices.map(i => i -> h.superKey(tuples(i))).toMap)
+    verify(spark, pairs, tuples.indices.map(i => i -> tuples(i)).toMap, rowVals, masks, k, t0)
+  }
+
+  /** The executor pass over the distinct candidate `pairs`
+    * `(tableId, rowId, qTupleId)`, then the driver-side fold. `masks`
+    * holds the row super keys and each query tuple's super key.
+    */
+  private def verify(
+      spark: SparkSession,
+      pairs: Array[(Long, Long, Int)],
+      tuples: Map[Int, Seq[String]],
+      rowVals: DataFrame,
+      masks: Option[(DataFrame, Map[Int, Array[Byte]])],
+      k: Int,
+      t0: Long): Result = {
+    import spark.implicits._
+
+    // The candidate tuple ids of each row and the query tuples reach the
+    // executors as one broadcast variable: in the task binary they would
+    // be deserialised once per task, and a broadcast join with a
+    // driver-side relation costs a Spark job of its own.
+    val bc = spark.sparkContext.broadcast(
+      (pairs.groupBy(p => (p._1, p._2)).view.mapValues(_.map(_._3).toSeq).toMap, tuples))
+    def ids(t: Long, r: Long): Seq[Int] = bc.value._1.getOrElse((t, r), Nil)
+
+    val candRows = masks match {
+      // Row filter: one subset test per candidate pair (§6.3's "single
+      // operation"); a row keeps the tuple ids whose query key it masks.
+      // The survivors and the row values are both partitioned on
+      // (tableId, rowId), so their join does not shuffle; a hash join on
+      // the few survivors spares sorting the row values.
+      case Some((rowSk, qsk)) =>
+        val mask = udf((t: Long, r: Long, sk: Array[Byte]) =>
+          ids(t, r).filter(i => qsk.get(i).exists(Bits.subsetOf(_, sk))))
+        val survivors = rowSk
+          .select($"tableId", $"rowId", mask($"tableId", $"rowId", $"sk") as "qTupleIds")
+          .filter(size($"qTupleIds") > 0)
+        rowVals.join(survivors.hint("shuffle_hash"), Seq("tableId", "rowId"))
+      case None =>
+        val idsOf = udf((t: Long, r: Long) => ids(t, r))
+        rowVals.withColumn("qTupleIds", idsOf($"tableId", $"rowId")).filter(size($"qTupleIds") > 0)
     }
-    try discover(cand, rowVals, filter, k)
-    finally cand.unpersist()
+
+    // Exact verification: the tuple ids a row matches, with their mappings.
+    val mappings = udf((qTupleIds: Seq[Int], vals: Map[Int, String]) =>
+      qTupleIds.map(i => (i, Joinability.rowMappings(bc.value._2(i), vals))).filter(_._2.nonEmpty))
+    val records =
+      try candRows
+        .select($"tableId", size($"qTupleIds") as "pairs", size($"vals") as "cells",
+          mappings($"qTupleIds", $"vals") as "hits")
+        .collect()
+      finally bc.destroy()
+
+    var verifiedPairs, tpRows, cellsCompared = 0L
+    val hitsByTable = scala.collection.mutable.Map.empty[Long, ArrayBuffer[(Int, Seq[String])]]
+    for (r <- records) {
+      val pairs = r.getInt(1).toLong
+      val hits  = r.getSeq[Row](3)
+      verifiedPairs += pairs
+      cellsCompared += pairs * r.getInt(2)
+      if (hits.nonEmpty) {
+        tpRows += 1
+        hitsByTable.getOrElseUpdate(r.getLong(0), ArrayBuffer.empty) ++= hits.map(h => (h.getInt(0), h.getSeq[String](1)))
+      }
+    }
+    val topK = hitsByTable.iterator
+      .map { case (t, hits) => (t, Joinability.bestMappingCount(hits)) }
+      .toSeq.sortBy { case (t, j) => (-j, t) }
+      .take(k)
+    val millis = (System.nanoTime() - t0) / 1000000
+
+    val rows = records.length.toLong
+    Result(topK, Metrics(
+      candidatePairs = pairs.length,
+      maskChecks = if (masks.isDefined) pairs.length else 0L,
+      verifiedPairs = verifiedPairs,
+      rowsChecked = rows,
+      tpRows = tpRows,
+      fpRows = rows - tpRows,
+      cellsCompared = cellsCompared,
+      millis = millis))
   }
 }

@@ -163,11 +163,7 @@ object Experiments {
       skMap: Option[Map[(Long, Long), Array[Byte]]] = None): GridResult = {
     val qs = pc.queries(set)
     val results = qs.map { q =>
-      val filter = (rowSk, hash) match {
-        case (Some(sk), Some(hh)) => Some((sk, MateSpark.querySuperKeys(spark, q, hh)))
-        case _                    => None
-      }
-      MateSpark.discover(pc.cands((set, q.id)), pc.rowVals, filter, K)
+      MateSpark.discover(pc.cands((set, q.id)), pc.rowVals, MateSpark.rowFilter(spark, rowSk, hash, q), K)
     }
     // Sequential Algorithm 1 timing (the paper-comparable runtime); one
     // warm-up run per set amortises JIT noise.
@@ -264,43 +260,20 @@ object Experiments {
     val xash = Xash(128, 4)
     val sk = InvertedIndex.rowSuperKeys(pc.corpus.cells, xash).cache()
     sk.count()
-    val out = sets.flatMap { set =>
+    val systems: Seq[(String, QueryTable => MateSpark.Metrics)] = Seq(
+      "MATE (XASH-128)" -> (q => MateSpark.run(spark, pc.pls, pc.rowVals, Some(sk), Some(xash), q, K).metrics),
+      "SCR"             -> (q => MateSpark.run(spark, pc.pls, pc.rowVals, None, None, q, K).metrics),
+      "MCR"             -> (q => Mcr.run(spark, pc.pls, pc.rowVals, q, K).metrics),
+      "SCR Josie"       -> (q => JosieLite.scrJosie(spark, pc.pls, pc.rowVals, q, K).metrics),
+      "MCR Josie"       -> (q => JosieLite.mcrJosie(spark, pc.pls, pc.rowVals, q, K).metrics))
+    val out = for (set <- sets; (system, call) <- systems) yield {
       val qs = pc.queries(set)
-      def time[A](f: QueryTable => (Long, Long)): (Double, Double) = {
-        val rs = qs.map(f)
-        (rs.map(_._1.toDouble).sum / qs.size, rs.map(_._2.toDouble).sum / qs.size)
-      }
-      val mate = time { q =>
+      val rs = qs.map { q =>
         val t0 = System.nanoTime()
-        val r = MateSpark.run(spark, pc.pls, pc.rowVals, Some(sk), Some(xash), q, K)
-        ((System.nanoTime() - t0) / 1000000, r.metrics.cellsCompared)
+        val cells = call(q).cellsCompared
+        ((System.nanoTime() - t0) / 1000000, cells)
       }
-      val scr = time { q =>
-        val t0 = System.nanoTime()
-        val r = MateSpark.run(spark, pc.pls, pc.rowVals, None, None, q, K)
-        ((System.nanoTime() - t0) / 1000000, r.metrics.cellsCompared)
-      }
-      val mcr = time { q =>
-        val t0 = System.nanoTime()
-        val r = Mcr.run(spark, pc.pls, pc.rowVals, q, K)
-        ((System.nanoTime() - t0) / 1000000, r.metrics.cellsCompared)
-      }
-      val scrJosie = time { q =>
-        val t0 = System.nanoTime()
-        val r = JosieLite.scrJosie(spark, pc.pls, pc.rowVals, q, K)
-        ((System.nanoTime() - t0) / 1000000, r.metrics.cellsCompared)
-      }
-      val mcrJosie = time { q =>
-        val t0 = System.nanoTime()
-        val r = JosieLite.mcrJosie(spark, pc.pls, pc.rowVals, q, K)
-        ((System.nanoTime() - t0) / 1000000, r.metrics.cellsCompared)
-      }
-      Seq(
-        SystemResult(set, "MATE (XASH-128)", mate._1, mate._2),
-        SystemResult(set, "SCR", scr._1, scr._2),
-        SystemResult(set, "MCR", mcr._1, mcr._2),
-        SystemResult(set, "SCR Josie", scrJosie._1, scrJosie._2),
-        SystemResult(set, "MCR Josie", mcrJosie._1, mcrJosie._2))
+      SystemResult(set, system, rs.map(_._1.toDouble).sum / qs.size, rs.map(_._2.toDouble).sum / qs.size)
     }
     sk.unpersist()
     out

@@ -5,7 +5,7 @@ import scala.collection.concurrent.TrieMap
 
 import repro.corpus.CorpusGen
 import repro.corpus.CorpusGen.{CorpusConfig, QuerySetConfig, QueryTable}
-import repro.core.Joinability
+import repro.core.{InitColumn, Joinability, MateLocal, MateSpark}
 import repro.hash.SuperKeyHash
 import repro.index.InvertedIndex
 
@@ -41,6 +41,19 @@ object Fixtures {
   private val skCache = TrieMap.empty[SuperKeyHash, DataFrame]
   def rowSk(h: SuperKeyHash): DataFrame =
     skCache.getOrElseUpdate(h, InvertedIndex.rowSuperKeys(corpus.cells, h).cache())
+
+  /** `q`'s posting-list items fetched from the Spark index — the
+    * Vertica-fetch step of the paper's architecture — with `h`'s row
+    * super keys (empty without a hash): the input [[MateLocal.discover]]
+    * runs on.
+    */
+  def plItems(q: QueryTable, h: Option[SuperKeyHash]): Seq[MateLocal.PlItem] = {
+    val initCol = InitColumn.byCardinality(q.rows)
+    val sks = h.map(rowSk(_).collect().map(r => (r.getLong(0), r.getLong(1)) -> r.getAs[Array[Byte]]("sk")).toMap)
+    MateSpark.candidates(pls, MateSpark.prepareQuery(spark, q)).collect()
+      .map(r => (r.getLong(0), r.getLong(1), r.getSeq[String](3)(initCol))).distinct.toSeq
+      .map { case (t, r, v) => MateLocal.PlItem(t, r, v, sks.fold(Array.emptyByteArray)(_((t, r)))) }
+  }
 
   /** Normalised local copy: tableId → rowId → (colId → value). */
   lazy val localTables: Map[Long, Map[Long, Map[Int, String]]] =

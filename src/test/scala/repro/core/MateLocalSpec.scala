@@ -1,39 +1,19 @@
 package repro.core
 
 import repro.{Fixtures, SparkSpec}
-import repro.corpus.CorpusGen.QueryTable
-import repro.hash.{SuperKeyHash, Xash}
+import repro.hash.Xash
 
 class MateLocalSpec extends SparkSpec {
 
   private val hash = Xash(128, 4)
   private val k    = 5
 
-  /** Fetch PL items for a query's init values from the Spark index —
-    * the Vertica-fetch step of the paper's architecture.
-    */
-  private def fetchPls(q: QueryTable, h: SuperKeyHash): Seq[MateLocal.PlItem] = {
-    val queryDf = MateSpark.prepareQuery(spark, q)
-    MateSpark.candidates(Fixtures.pls, queryDf)
-      .join(Fixtures.rowSk(h), Seq("tableId", "rowId"))
-      .select("tableId", "rowId", "tuple", "sk")
-      .collect()
-      .map { r =>
-        val tuple = r.getSeq[String](2)
-        val initCol = InitColumn.byCardinality(q.rows)
-        MateLocal.PlItem(r.getLong(0), r.getLong(1), tuple(initCol), r.getAs[Array[Byte]]("sk"))
-      }
-      // Array[Byte] equality is referential — dedupe on the identifying key.
-      .groupBy(p => (p.tableId, p.rowId, p.value)).values.map(_.head)
-      .toSeq
-  }
-
   private def fetchRows(t: Long): Map[Long, Map[Int, String]] =
     Fixtures.localTables.getOrElse(t, Map.empty)
 
   test("Algorithm 1 returns the ground-truth joinability scores") {
     for (q <- Fixtures.allQueries) {
-      val r = MateLocal.discover(fetchPls(q, hash), q, Some(hash), fetchRows, k)
+      val r = MateLocal.discover(Fixtures.plItems(q, Some(hash)), q, Some(hash), fetchRows, k)
       val expected = Fixtures.gtTopK(q, k)
       assert(r.topK.map(_._2) == expected.map(_._2), s"query ${q.set}/${q.id}")
     }
@@ -41,7 +21,7 @@ class MateLocalSpec extends SparkSpec {
 
   test("sequential and distributed MATE agree on the top-k scores") {
     for (q <- Fixtures.allQueries) {
-      val local = MateLocal.discover(fetchPls(q, hash), q, Some(hash), fetchRows, k)
+      val local = MateLocal.discover(Fixtures.plItems(q, Some(hash)), q, Some(hash), fetchRows, k)
       val dist  = MateSpark.run(Fixtures.spark, Fixtures.pls, Fixtures.rowVals,
         Some(Fixtures.rowSk(hash)), Some(hash), q, k)
       assert(local.topK.map(_._2) == dist.topK.map(_._2), s"query ${q.set}/${q.id}")
@@ -50,7 +30,7 @@ class MateLocalSpec extends SparkSpec {
 
   test("table-filtering rules change work, not results (§6.2 rules are safe)") {
     for (q <- Fixtures.allQueries) {
-      val pls = fetchPls(q, hash)
+      val pls = Fixtures.plItems(q, Some(hash))
       val on  = MateLocal.discover(pls, q, Some(hash), fetchRows, k, useTableFilter = true)
       val off = MateLocal.discover(pls, q, Some(hash), fetchRows, k, useTableFilter = false)
       assert(on.topK.map(_._2) == off.topK.map(_._2))
@@ -61,7 +41,7 @@ class MateLocalSpec extends SparkSpec {
 
   test("rule 1 halts the scan once sorted PL counts cannot beat j_k (k=1)") {
     val q = Fixtures.allQueries.maxBy(q => Fixtures.groundTruthJ(q).values.maxOption.getOrElse(0L))
-    val pls = fetchPls(q, hash)
+    val pls = Fixtures.plItems(q, Some(hash))
     val r = MateLocal.discover(pls, q, Some(hash), fetchRows, k = 1)
     val tablesWithPls = pls.map(_.tableId).distinct.size
     assert(r.counters.tablesPrunedRule1 + r.counters.tablesEvaluated <= tablesWithPls)
@@ -70,7 +50,7 @@ class MateLocalSpec extends SparkSpec {
 
   test("SCR mode (no super key) yields identical top-k with more verification work") {
     for (q <- Fixtures.allQueries.take(2)) {
-      val pls = fetchPls(q, hash)
+      val pls = Fixtures.plItems(q, Some(hash))
       val filtered = MateLocal.discover(pls, q, Some(hash), fetchRows, k)
       val scr      = MateLocal.discover(pls, q, None, fetchRows, k)
       assert(filtered.topK.map(_._2) == scr.topK.map(_._2))
@@ -80,7 +60,7 @@ class MateLocalSpec extends SparkSpec {
 
   test("counters are internally consistent") {
     val q = Fixtures.allQueries.head
-    val r = MateLocal.discover(fetchPls(q, hash), q, Some(hash), fetchRows, k)
+    val r = MateLocal.discover(Fixtures.plItems(q, Some(hash)), q, Some(hash), fetchRows, k)
     val c = r.counters
     assert(c.rowsVerified <= c.rowsPassedFilter)
     assert(c.cellsCompared >= c.rowsVerified)

@@ -1,7 +1,9 @@
 package repro.core
 
+import org.apache.spark.SparkJobCounter
 import org.apache.spark.sql.functions._
 import repro.{Fixtures, Oracle, SparkSpec}
+import repro.corpus.CorpusGen.QueryTable
 import repro.hash.{BloomHashes, Hashes, StandardHashes, SuperKeyHash, Xash}
 
 class MateSparkSpec extends SparkSpec {
@@ -114,6 +116,45 @@ class MateSparkSpec extends SparkSpec {
       val h = Hashes.byName(name, 128, Fixtures.corpus.avgColumns, Fixtures.corpus.uniqueValues)
       val r = runWith(q, Some(h))
       assert(r.topK == expected, s"hash $name diverged")
+    }
+  }
+
+  test("one MateSpark.run launches at most 3 Spark jobs, with and without a hash") {
+    val q = Fixtures.queries3.head
+    for (h <- Seq(Some(Xash(128, 4)), None)) {
+      runWith(q, h) // materialises the cached index parts the query reads
+      val (_, jobs) = SparkJobCounter(spark)(runWith(q, h))
+      assert(jobs <= 3, s"${h.getOrElse("SCR")}: $jobs Spark jobs")
+    }
+  }
+
+  /** [[MateSpark.discover]] on cached candidates, as the benches call it. */
+  private def discoverCached(q: QueryTable, h: Option[SuperKeyHash]): MateSpark.Result = {
+    val cand = MateSpark.candidates(Fixtures.pls, MateSpark.prepareQuery(spark, q)).cache()
+    cand.count()
+    try MateSpark.discover(cand, Fixtures.rowVals, MateSpark.rowFilter(spark, h.map(Fixtures.rowSk), h, q), k)
+    finally cand.unpersist()
+  }
+
+  test("run, discover and Algorithm 1 agree: same top-k, and run and discover count the same work") {
+    for (q <- Fixtures.allQueries; h <- Seq(Some(Xash(128, 4)), None)) {
+      val what  = s"query ${q.set}/${q.id} ${h.getOrElse("SCR")}"
+      val run   = runWith(q, h)
+      val disc  = discoverCached(q, h)
+      val local = MateLocal.discover(Fixtures.plItems(q, h), q, h,
+        t => Fixtures.localTables.getOrElse(t, Map.empty), k, useTableFilter = false)
+      assert(run.topK == disc.topK, what)
+      assert(run.metrics.copy(millis = 0) == disc.metrics.copy(millis = 0), what)
+      assert(local.topK == run.topK, what)
+    }
+  }
+
+  test("a query whose values are absent from the corpus yields an empty top-k and zero counters") {
+    val q = QueryTable("absent", 0, Seq(Seq("no such value", "none either"), Seq("nor this", "nor that")))
+    val zero = MateSpark.Metrics(0, 0, 0, 0, 0, 0, 0, 0)
+    for (h <- Seq(Some(Xash(128, 4)), None); r <- Seq(runWith(q, h), discoverCached(q, h))) {
+      assert(r.topK.isEmpty)
+      assert(r.metrics.copy(millis = 0) == zero)
     }
   }
 }
