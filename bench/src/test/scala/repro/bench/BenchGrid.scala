@@ -15,12 +15,6 @@ object BenchGrid {
 
   lazy val grid: Seq[GridResult] = workload.flatMap(pc => Experiments.runGrid(spark, pc))
 
-  /** All query-set names ordered as in the paper's tables. */
-  val setOrder: Seq[String] = Seq(
-    "WT (10)", "WT (100)", "WT (1k)",
-    "OD (100)", "OD (1k)", "OD (10k)",
-    "Kaggle", "School")
-
   def byConfig(set: String, config: String, bits: Int): Option[GridResult] =
-    grid.find(r => r.set == set && r.config == config && r.bits == bits)
+    Experiments.byConfig(grid, set, config, bits)
 }

@@ -11,26 +11,16 @@ import repro.index.InvertedIndex
 class InDepthBench extends SparkSpec {
 
   test("Index storage: per-cell vs per-row super keys (§7.1 'Index generation')") {
-    val rows = BenchGrid.workload.map { pc =>
-      val (nCells, nRows, perCell, perRow) =
-        InvertedIndex.storageStats(pc.corpus.cells, bits = 128)
+    val stats = BenchGrid.workload.map(pc => pc.corpus.name -> InvertedIndex.storageStats(pc.corpus.cells, bits = 128))
+    println(Experiments.storageTable(stats))
+    for ((_, (_, _, perCell, perRow)) <- stats)
       assert(perCell > perRow, "per-row storage must be the smaller layout")
-      Seq(pc.corpus.name, nCells.toString, nRows.toString,
-        f"${perCell / 1e6}%.1f MB", f"${perRow / 1e6}%.1f MB",
-        f"${perCell.toDouble / perRow}%.1fx")
-    }
-    println("\n=== Index storage (reproduced §7.1): 128-bit super keys ===")
-    println(Experiments.formatTable(
-      Seq("Corpus", "Cells", "Rows", "SK per cell", "SK per row", "Ratio"), rows))
   }
 
   test("§7.5.4: initial-column heuristic fetches fewest PLs after the oracle") {
     val pc = BenchGrid.workload.find(_.corpus.name == "OD").get
     val results = Experiments.initColumnExperiment(spark, pc, "OD (10k)")
-    println("\n=== §7.5.4 (reproduced): avg fetched PL items per heuristic ===")
-    println(Experiments.formatTable(
-      Seq("Heuristic", "Avg PL items"),
-      results.map(r => Seq(r.heuristic, f"${r.avgPlItems}%.0f"))))
+    println(Experiments.initColumnTable(results))
 
     val byName = results.map(r => r.heuristic -> r.avgPlItems).toMap
     assert(byName("Best") <= byName("Cardinality"))
@@ -46,10 +36,7 @@ class InDepthBench extends SparkSpec {
     val results = Experiments.systemsExperiment(spark, wt, Seq("WT (1k)")) ++
                   Experiments.systemsExperiment(spark, od, Seq("OD (1k)"))
 
-    println("\n=== Systems comparison (Figure 4 shape) ===")
-    println(Experiments.formatTable(
-      Seq("Query set", "System", "ms (incl. fetch)", "Cells compared"),
-      results.map(r => Seq(r.set, r.system, f"${r.millis}%.0f", f"${r.cellsCompared}%.0f"))))
+    println(Experiments.systemsTable(results))
 
     for (set <- Seq("WT (1k)", "OD (1k)")) {
       val of = results.filter(_.set == set)

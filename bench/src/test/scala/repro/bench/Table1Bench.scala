@@ -15,16 +15,10 @@ class Table1Bench extends SparkSpec {
 
   test("Table 1: query-set statistics (tables, corpus, cardinality, joinability)") {
     val stats = BenchGrid.workload.flatMap(pc => Experiments.setStats(spark, pc))
-    val ordered = BenchGrid.setOrder.flatMap(s => stats.find(_.set == s))
+    println(Experiments.table1(stats))
+    val ordered = Experiments.setOrder.flatMap(s => stats.find(_.set == s))
 
-    println("\n=== Table 1 (reproduced): input query tables ===")
-    println(Experiments.formatTable(
-      Seq("Query Set", "# of tables", "Corpus", "Cardinality", "Joinability"),
-      ordered.map(s => Seq(
-        s.set, s.nQueries.toString, s.corpus,
-        f"${s.avgCardinality}%.0f", f"${s.avgJoinability}%.1f"))))
-
-    assert(ordered.size == BenchGrid.setOrder.size, "every query set present")
+    assert(ordered.size == Experiments.setOrder.size, "every query set present")
     // Shape checks mirroring the paper: cardinality ordering within each
     // corpus family, and joinability grows with cardinality for OD.
     def card(s: String) = ordered.find(_.set == s).get.avgCardinality

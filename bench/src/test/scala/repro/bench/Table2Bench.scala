@@ -15,30 +15,11 @@ import repro.harness.Experiments
   */
 class Table2Bench extends SparkSpec {
 
-  private val configs: Seq[(String, Int)] =
-    Seq(("SCR", 0), ("MD5", 128), ("Murmur", 128), ("City", 128)) ++
-      Seq("SimHash", "HT", "BF", "LHBF", "XASH").flatMap(n =>
-        Seq((n, 128), (n, 256), (n, 512)))
-
   test("Table 2: runtime (ms and cells compared) per query set × hash") {
-    val header = Seq("Dataset") ++ configs.map { case (n, b) => if (b == 0) n else s"$n $b" }
-
-    def row(metric: Experiments.GridResult => Double, fmt: Double => String) =
-      BenchGrid.setOrder.map { set =>
-        Seq(set) ++ configs.map { case (n, b) =>
-          BenchGrid.byConfig(set, n, b).map(r => fmt(metric(r))).getOrElse("-")
-        }
-      }
-
-    println("\n=== Table 2 (reproduced): sequential Algorithm-1 runtime, µs (paper-comparable) ===")
-    println(Experiments.formatTable(header, row(_.localMicros, d => f"$d%.0f")))
-    println("\n=== Table 2 (reproduced): cells compared in exact verification ===")
-    println(Experiments.formatTable(header, row(_.cellsCompared, d => f"$d%.0f")))
-    println("\n=== Table 2 (informational): distributed dataflow wall-clock ms (Spark job overhead dominates at this scale) ===")
-    println(Experiments.formatTable(header, row(_.millis, d => f"$d%.0f")))
+    println(Experiments.table2(BenchGrid.grid))
 
     // --- shape assertions (paper §7.2/§7.3 claims) ---
-    for (set <- BenchGrid.setOrder) {
+    for (set <- Experiments.setOrder) {
       val scr  = BenchGrid.byConfig(set, "SCR", 0).get
       val xash = BenchGrid.byConfig(set, "XASH", 128).get
       val md5  = BenchGrid.byConfig(set, "MD5", 128).get
@@ -56,7 +37,7 @@ class Table2Bench extends SparkSpec {
     // α·V-bit XASH super key), and our synthetic corpus compresses the
     // remaining gap (EXPERIMENTS.md).
     def total(c: String, b: Int) =
-      BenchGrid.setOrder.map(s => BenchGrid.byConfig(s, c, b).get.cellsCompared).sum
+      Experiments.setOrder.map(s => BenchGrid.byConfig(s, c, b).get.cellsCompared).sum
     assert(total("XASH", 128) <= total("BF", 128) * 1.15, "XASH should track BF overall")
     assert(total("XASH", 128) <= total("HT", 128), "XASH should out-filter HT overall")
     assert(total("BF", 128) <= total("MD5", 128), "BF should out-filter MD5 overall")
@@ -65,7 +46,7 @@ class Table2Bench extends SparkSpec {
     // sequential (paper-comparable) runtime: filters beat SCR on the
     // FP-heavy sets, and XASH stays ahead of the raw digests overall
     def localTotal(c: String, b: Int) =
-      BenchGrid.setOrder.map(s => BenchGrid.byConfig(s, c, b).get.localMicros).sum
+      Experiments.setOrder.map(s => BenchGrid.byConfig(s, c, b).get.localMicros).sum
     assert(localTotal("XASH", 128) <= localTotal("SCR", 0),
       "XASH sequential discovery should beat SCR")
     assert(localTotal("XASH", 128) <= localTotal("MD5", 128),

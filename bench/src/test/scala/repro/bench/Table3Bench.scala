@@ -10,29 +10,9 @@ import repro.harness.Experiments
   */
 class Table3Bench extends SparkSpec {
 
-  private val configs: Seq[(String, Int)] =
-    Seq(("MD5", 128), ("City", 128)) ++
-      Seq("SimHash", "HT", "BF", "LHBF", "XASH").flatMap(n => Seq((n, 128), (n, 512)))
-
   test("Table 3: precision per query set × hash (128 / 512 bits)") {
-    val header = Seq("Dataset") ++ configs.map { case (n, b) => s"$n $b" }
-    val rows = BenchGrid.setOrder.map { set =>
-      Seq(set) ++ configs.map { case (n, b) =>
-        BenchGrid.byConfig(set, n, b).map(r => f"${r.precision}%.2f").getOrElse("-")
-      }
-    }
-    val avg = Seq("Average") ++ configs.map { case (n, b) =>
-      val ps = BenchGrid.setOrder.flatMap(s => BenchGrid.byConfig(s, n, b)).map(_.precision)
-      f"${ps.sum / ps.size}%.2f"
-    }
-
-    println("\n=== Table 3 (reproduced): precision of the row filter ===")
-    println(Experiments.formatTable(header, rows :+ avg))
-
-    def avgP(c: String, b: Int): Double = {
-      val ps = BenchGrid.setOrder.flatMap(s => BenchGrid.byConfig(s, c, b)).map(_.precision)
-      ps.sum / ps.size
-    }
+    println(Experiments.table3(BenchGrid.grid))
+    def avgP(c: String, b: Int): Double = Experiments.avgPrecision(BenchGrid.grid, c, b)
 
     // --- shape assertions (paper §7.4) ---
     // XASH achieves the highest average precision at both hash sizes.

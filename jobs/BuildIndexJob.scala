@@ -3,7 +3,7 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 
 import repro.corpus.CorpusGen
-import repro.hash.Xash
+import repro.hash.Hashes
 import repro.index.InvertedIndex
 
 /** spark-submit entrypoint: build a synthetic corpus and its XASH
@@ -27,7 +27,7 @@ object BuildIndexJob {
       case _        => CorpusGen.webTablesConfig()
     }
     val corpus = CorpusGen.generate(spark, cfg, Seq.empty)
-    val hash   = Xash(bits, math.max(4, Xash.optimalAlpha(bits, corpus.uniqueValues)))
+    val hash   = Hashes.byName("XASH", bits, corpus.avgColumns, corpus.uniqueValues)
     val index  = InvertedIndex.build(corpus.cells, hash).cache()
 
     val t0 = System.nanoTime()

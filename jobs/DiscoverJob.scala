@@ -33,7 +33,7 @@ object DiscoverJob {
     }
 
     for (q <- pc.queries(setName)) {
-      val r = MateSpark.discover(pc.cands((setName, q.id)), pc.rowVals, MateSpark.rowFilter(spark, rowSk, hash, q), k)
+      val r = MateSpark.run(spark, pc.pls, pc.rowVals, rowSk, hash, q, k)
       println(s"query ${q.id}: top-$k = ${r.topK.mkString(", ")}")
       println(s"  metrics: ${r.metrics}")
     }

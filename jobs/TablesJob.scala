@@ -6,7 +6,7 @@ import repro.harness.Experiments
 
 /** spark-submit entrypoint: regenerate the paper tables (1, 2, 3) plus
   * the §7.5.4 heuristic comparison in one run — the same computations
-  * the bench suites perform, as a standalone job.
+  * and the same reports as the bench suites, as a standalone job.
   *
   * Usage: TablesJob [table1|table2|table3|init|all]
   */
@@ -20,33 +20,18 @@ object TablesJob {
 
     val workload = Experiments.workload(spark)
 
-    if (which == "table1" || which == "all") {
-      val stats = workload.flatMap(Experiments.setStats(spark, _))
-      println("\n=== Table 1 ===")
-      println(Experiments.formatTable(
-        Seq("Query Set", "# of tables", "Corpus", "Cardinality", "Joinability"),
-        stats.map(s => Seq(s.set, s.nQueries.toString, s.corpus,
-          f"${s.avgCardinality}%.0f", f"${s.avgJoinability}%.1f"))))
-    }
+    if (which == "table1" || which == "all")
+      println(Experiments.table1(workload.flatMap(Experiments.setStats(spark, _))))
 
     if (which == "table2" || which == "table3" || which == "all") {
-      val grid = workload.flatMap(pc => Experiments.runGrid(spark, pc))
-      println("\n=== Table 2 (ms / cells compared) ===")
-      grid.sortBy(r => (r.set, r.config, r.bits)).foreach { r =>
-        println(f"${r.set}%-9s ${r.config}%-8s ${r.bits}%4d  ${r.millis}%8.0f ms ${r.cellsCompared}%12.0f cells")
-      }
-      println("\n=== Table 3 (precision) ===")
-      grid.filter(_.config != "SCR").sortBy(r => (r.set, r.config, r.bits)).foreach { r =>
-        println(f"${r.set}%-9s ${r.config}%-8s ${r.bits}%4d  ${r.precision}%6.2f")
-      }
+      val grid = workload.flatMap(Experiments.runGrid(spark, _))
+      println(Experiments.table2(grid))
+      println(Experiments.table3(grid))
     }
 
     if (which == "init" || which == "all") {
       val od = workload.find(_.corpus.name == "OD").get
-      println("\n=== §7.5.4 init column ===")
-      Experiments.initColumnExperiment(spark, od, "OD (10k)").foreach { r =>
-        println(f"${r.heuristic}%-13s ${r.avgPlItems}%8.0f PLs")
-      }
+      println(Experiments.initColumnTable(Experiments.initColumnExperiment(spark, od, "OD (10k)")))
     }
     spark.stop()
   }

@@ -16,12 +16,11 @@ import repro.util.Bits
   * one per-table loop: mask the rows, verify the survivors, keep the
   * top-k (Algorithm 1). A query here costs two Spark jobs:
   *
-  *  1. '''fetch''' — the init column is the one of minimum cardinality
-  *     (§6.1); the posting-list items holding a tuple's init value are
-  *     collected to the driver as distinct `(tableId, rowId, qTupleId)`
-  *     candidate pairs, as the paper fetches from Vertica. The paper
-  *     excludes this step from runtimes (§7.2), so benches cache
-  *     [[candidates]] and call [[discover]], which collects them.
+  *  1. '''fetch''' ([[fetch]]) — the init column is the one of minimum
+  *     cardinality (§6.1); the posting-list items holding a tuple's init
+  *     value are collected to the driver, as the paper fetches from
+  *     Vertica, and paired with the tuples holding that value. The paper
+  *     excludes this step from runtimes (§7.2), and so does [[run]].
   *  2. '''row filtering + calculateJ''', one job — the candidate tuple
   *     ids of each row reach the executors as a broadcast variable. With
   *     a hash, each row keeps the tuple ids whose query super key its own
@@ -82,7 +81,8 @@ object MateSpark {
   }
 
   /** Candidate (row × query-tuple) pairs from the init-column posting
-    * lists — the fetch phase. One pair per corpus row containing the
+    * lists as a join, the input of [[discover]]; the same pairs [[run]]
+    * derives from [[fetch]]. One pair per corpus row containing the
     * tuple's init value in any column (the mapping is unknown, §2).
     */
   def candidates(postingLists: DataFrame, queryDf: DataFrame): DataFrame = {
@@ -102,21 +102,10 @@ object MateSpark {
       .toDF("qTupleId", "qsk")
   }
 
-  /** The `filter` argument of [[discover]]: `Some((rowSk, querySk))`
-    * when both the row super keys and their hash are given, else `None`
-    * (SCR).
-    */
-  def rowFilter(
-      spark: SparkSession,
-      rowSk: Option[DataFrame],
-      hash: Option[SuperKeyHash],
-      q: QueryTable): Option[(DataFrame, DataFrame)] =
-    for (sk <- rowSk; h <- hash) yield (sk, querySuperKeys(spark, q, h))
-
   /** Run row filtering + verification + top-k on fetched candidates.
     *
-    * @param cand     candidate pairs from [[candidates]] (cached by
-    *                 benches); collected to the driver here
+    * @param cand     candidate pairs from [[candidates]], collected to
+    *                 the driver here
     * @param rowVals  per-row value maps ([[InvertedIndex.rowValues]])
     * @param filter   `Some((rowSk, querySk))` for MATE with a hash;
     *                 `None` for the SCR baseline (exact checks only)
@@ -137,10 +126,20 @@ object MateSpark {
     verify(cand.sparkSession, pairs, tuples, rowVals, masks, k, t0)
   }
 
+  /** The fetch phase: the distinct init-column posting-list items
+    * `(tableId, rowId, initValue)` of `q`, in one Spark job that filters
+    * the posting lists on the init values.
+    */
+  def fetch(postingLists: DataFrame, q: QueryTable): Array[(Long, Long, String)] = {
+    val initCol = InitColumn.byCardinality(q.rows)
+    postingLists.filter(col("value").isin(normTuples(q).map(_(initCol)).distinct: _*))
+      .select("tableId", "rowId", "value").collect()
+      .map(r => (r.getLong(0), r.getLong(1), r.getString(2))).distinct
+  }
+
   /** End-to-end: fetch + filter + verify + top-k for one query table.
-    * The fetch is one job: it filters the posting lists on the init
-    * values, and the driver pairs each item with the tuples holding its
-    * value. `millis` covers the steps after it, as in [[discover]].
+    * The driver pairs each fetched item with the tuples holding its
+    * value. `millis` covers the steps after the fetch (§7.2).
     */
   def run(
       spark: SparkSession,
@@ -153,9 +152,7 @@ object MateSpark {
     val tuples  = normTuples(q)
     val initCol = InitColumn.byCardinality(q.rows)
     val byInit  = tuples.indices.groupBy(tuples(_)(initCol))
-    val pairs = postingLists.filter(col("value").isin(byInit.keys.toSeq: _*))
-      .select("tableId", "rowId", "value").collect()
-      .flatMap(r => byInit(r.getString(2)).map((r.getLong(0), r.getLong(1), _))).distinct
+    val pairs   = fetch(postingLists, q).flatMap { case (t, r, v) => byInit(v).map((t, r, _)) }
     val t0 = System.nanoTime()
     val masks = for (sk <- rowSk; h <- hash) yield (sk, tuples.indices.map(i => i -> h.superKey(tuples(i))).toMap)
     verify(spark, pairs, tuples.indices.map(i => i -> tuples(i)).toMap, rowVals, masks, k, t0)

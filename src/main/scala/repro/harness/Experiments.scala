@@ -5,8 +5,8 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.baselines.{JosieLite, Mcr}
 import repro.core.{InitColumn, MateSpark}
 import repro.corpus.CorpusGen
-import repro.corpus.CorpusGen.{Corpus, CorpusConfig, QuerySetConfig, QueryTable}
-import repro.hash.{BloomHashes, StandardHashes, SuperKeyHash, Xash}
+import repro.corpus.CorpusGen.{Corpus, QuerySetConfig, QueryTable}
+import repro.hash.{Hashes, SuperKeyHash}
 import repro.index.InvertedIndex
 
 /** Experiment harness reproducing the paper's §7 evaluation grid.
@@ -17,11 +17,11 @@ import repro.index.InvertedIndex
   * space follow §7.1.
   *
   * Runtimes exclude the posting-list fetch, as the paper does (§7.2):
-  * candidate pairs are cached and materialised before the measured
-  * filter/verify/top-k dataflow runs. Deterministic work counters
-  * (cells compared in exact verification) are recorded next to
-  * wall-clock because the simulator's absolute times are not the
-  * paper's server's (DESIGN.md §6).
+  * [[MateSpark.run]] starts its clock after its fetch, and the
+  * sequential Algorithm 1 runs on posting lists fetched in [[prepare]].
+  * Deterministic work counters (cells compared in exact verification)
+  * are recorded next to wall-clock because the simulator's absolute
+  * times are not the paper's server's (DESIGN.md §6).
   */
 object Experiments {
 
@@ -50,20 +50,20 @@ object Experiments {
       set: String, corpus: String, nQueries: Int,
       avgCardinality: Double, avgJoinability: Double)
 
-  /** A corpus with cached index structures and per-query cached
-    * candidate pairs (the fetch step, shared by every configuration).
+  /** A corpus with its cached index structures.
     *
     * `localRows` / `localPls` are the driver-side copies the sequential
-    * Algorithm 1 runs on — mirroring the paper's architecture, where the
-    * Vertica index is queried once and the top-k loop is a single-node
-    * computation whose runtime Table 2 reports.
+    * Algorithm 1 runs on: every row's values, and each query's
+    * init-column posting-list items ([[MateSpark.fetch]]) — mirroring
+    * the paper's architecture, where the Vertica index is queried once
+    * and the top-k loop is a single-node computation whose runtime
+    * Table 2 reports.
     */
   final case class PreparedCorpus(
       corpus: Corpus,
       pls: DataFrame,
       rowVals: DataFrame,
       queries: Map[String, Seq[QueryTable]],
-      cands: Map[(String, Int), DataFrame],
       localRows: Map[Long, Map[Long, Map[Int, String]]],
       localPls: Map[(String, Int), Seq[(Long, Long, String)]])
 
@@ -90,14 +90,6 @@ object Experiments {
     val rowVals = InvertedIndex.rowValues(corpus.cells).cache()
     pls.count(); rowVals.count()
     val queries = corpus.querySets.map(qs => qs.name -> qs.queries).toMap
-    val cands = for {
-      (set, qs) <- queries
-      q <- qs
-    } yield {
-      val c = MateSpark.candidates(pls, MateSpark.prepareQuery(spark, q)).cache()
-      c.count()
-      (set, q.id) -> c
-    }
 
     // Driver-side copies for the sequential Algorithm 1 (fetch phase,
     // excluded from measured runtime as in §7.2).
@@ -106,15 +98,8 @@ object Experiments {
       .map { case (t, rs) =>
         t -> rs.map(r => r.getLong(1) -> r.getMap[Int, String](2).toMap).toMap
       }
-    val localPls = cands.map { case ((set, qid), c) =>
-      val q = queries(set).find(_.id == qid).get
-      val initCol = InitColumn.byCardinality(q.rows)
-      val items = c.select("tableId", "rowId", "tuple").collect()
-        .map(r => (r.getLong(0), r.getLong(1), r.getSeq[String](2)(initCol)))
-        .distinct.toSeq
-      (set, qid) -> items
-    }
-    PreparedCorpus(corpus, pls, rowVals, queries, cands, localRows, localPls)
+    val localPls = for ((set, qs) <- queries; q <- qs) yield (set, q.id) -> MateSpark.fetch(pls, q).toSeq
+    PreparedCorpus(corpus, pls, rowVals, queries, localRows, localPls)
   }
 
   /** Time one sequential Algorithm-1 discovery (§6) in microseconds. */
@@ -134,24 +119,15 @@ object Experiments {
     (System.nanoTime() - t0) / 1000
   }
 
-  /** Table 2 / Table 3 hash grid (§7.1.2). MD5/Murmur/City appear at
-    * 128 bits only, as in the paper's tables.
+  /** Hash families the paper reports at 128/256/512 bits; MD5/Murmur/City
+    * appear at 128 bits only, as in the paper's tables.
     */
-  def hashGrid(avgColumns: Double, cUnique: Long): Seq[SuperKeyHash] = {
-    // Eq. 5's α on a scaled-down corpus degenerates to 2 (one character);
-    // floor at the paper's illustrating-example α=4 so the hash keeps
-    // encoding characters + position + length (DESIGN.md §4).
-    def xalpha(bits: Int) = math.max(4, Xash.optimalAlpha(bits, cUnique))
-    def h(bits: Int)      = BloomHashes.optimalHashCount(bits, avgColumns)
-    Seq(
-      StandardHashes.Md5(128), StandardHashes.Murmur(128), StandardHashes.CityLike(128)) ++
-      Seq(128, 256, 512).flatMap(b => Seq(
-        StandardHashes.SimHash(b),
-        BloomHashes.Ht(b),
-        BloomHashes.Bf(b, h(b)),
-        BloomHashes.Lhbf(b, h(b)),
-        Xash(b, xalpha(b))))
-  }
+  private val sizedFamilies = Seq("SimHash", "HT", "BF", "LHBF", "XASH")
+
+  /** Table 2 / Table 3 hash grid (§7.1.2), built by [[Hashes.byName]]. */
+  def hashGrid(avgColumns: Double, cUnique: Long): Seq[SuperKeyHash] =
+    (Seq(("MD5", 128), ("Murmur", 128), ("City", 128)) ++ Seq(128, 256, 512).flatMap(b => sizedFamilies.map((_, b))))
+      .map { case (name, bits) => Hashes.byName(name, bits, avgColumns, cUnique) }
 
   /** Run one system configuration over every query of a set; average. */
   def runConfig(
@@ -162,9 +138,7 @@ object Experiments {
       rowSk: Option[DataFrame],
       skMap: Option[Map[(Long, Long), Array[Byte]]] = None): GridResult = {
     val qs = pc.queries(set)
-    val results = qs.map { q =>
-      MateSpark.discover(pc.cands((set, q.id)), pc.rowVals, MateSpark.rowFilter(spark, rowSk, hash, q), K)
-    }
+    val results = qs.map(MateSpark.run(spark, pc.pls, pc.rowVals, rowSk, hash, _, K))
     // Sequential Algorithm 1 timing (the paper-comparable runtime); one
     // warm-up run per set amortises JIT noise.
     val localTimes = qs.map { q =>
@@ -257,7 +231,7 @@ object Experiments {
   final case class SystemResult(set: String, system: String, millis: Double, cellsCompared: Double)
 
   def systemsExperiment(spark: SparkSession, pc: PreparedCorpus, sets: Seq[String]): Seq[SystemResult] = {
-    val xash = Xash(128, 4)
+    val xash = Hashes.byName("XASH", 128, pc.corpus.avgColumns, pc.corpus.uniqueValues)
     val sk = InvertedIndex.rowSuperKeys(pc.corpus.cells, xash).cache()
     sk.count()
     val systems: Seq[(String, QueryTable => MateSpark.Metrics)] = Seq(
@@ -279,7 +253,66 @@ object Experiments {
     out
   }
 
-  // ---------- formatting ----------
+  // ---------- reports, printed by the bench suites and TablesJob ----------
+
+  /** All query-set names ordered as in the paper's tables. */
+  val setOrder = Seq("WT (10)", "WT (100)", "WT (1k)", "OD (100)", "OD (1k)", "OD (10k)", "Kaggle", "School")
+
+  /** The columns of Tables 2 and 3, in the paper's order. */
+  private val table2Configs = Seq(("SCR", 0), ("MD5", 128), ("Murmur", 128), ("City", 128)) ++
+    sizedFamilies.flatMap(n => Seq((n, 128), (n, 256), (n, 512)))
+  private val table3Configs = Seq(("MD5", 128), ("City", 128)) ++ sizedFamilies.flatMap(n => Seq((n, 128), (n, 512)))
+
+  def byConfig(grid: Seq[GridResult], set: String, config: String, bits: Int): Option[GridResult] =
+    grid.find(r => r.set == set && r.config == config && r.bits == bits)
+
+  /** Mean row-filter precision of one configuration over the query sets. */
+  def avgPrecision(grid: Seq[GridResult], config: String, bits: Int): Double = {
+    val ps = setOrder.flatMap(byConfig(grid, _, config, bits)).map(_.precision)
+    ps.sum / ps.size
+  }
+
+  private def section(title: String, header: Seq[String], rows: Seq[Seq[String]]): String =
+    s"\n=== $title ===\n" + formatTable(header, rows)
+
+  /** One row per query set, one `cell` per configuration ("-" if absent), then `extraRows`. */
+  private def gridSection(title: String, grid: Seq[GridResult], configs: Seq[(String, Int)],
+                          cell: GridResult => String, extraRows: Seq[Seq[String]]): String =
+    section(title, "Dataset" +: configs.map { case (n, b) => if (b == 0) n else s"$n $b" },
+      setOrder.map(set => set +: configs.map { case (n, b) => byConfig(grid, set, n, b).map(cell).getOrElse("-") }) ++
+        extraRows)
+
+  def table1(stats: Seq[SetStats]): String =
+    section("Table 1 (reproduced): input query tables",
+      Seq("Query Set", "# of tables", "Corpus", "Cardinality", "Joinability"),
+      setOrder.flatMap(s => stats.find(_.set == s)).map(s => Seq(
+        s.set, s.nQueries.toString, s.corpus, f"${s.avgCardinality}%.0f", f"${s.avgJoinability}%.1f")))
+
+  def table2(grid: Seq[GridResult]): String = Seq[(String, GridResult => Double)](
+    "Table 2 (reproduced): sequential Algorithm-1 runtime, µs (paper-comparable)" -> (_.localMicros),
+    "Table 2 (reproduced): cells compared in exact verification" -> (_.cellsCompared),
+    "Table 2 (informational): distributed dataflow wall-clock ms (Spark job overhead dominates at this scale)" -> (_.millis))
+    .map { case (title, metric) => gridSection(title, grid, table2Configs, r => f"${metric(r)}%.0f", Nil) }.mkString("\n")
+
+  def table3(grid: Seq[GridResult]): String =
+    gridSection("Table 3 (reproduced): precision of the row filter", grid, table3Configs, r => f"${r.precision}%.2f",
+      Seq("Average" +: table3Configs.map { case (n, b) => f"${avgPrecision(grid, n, b)}%.2f" }))
+
+  /** §7.1 storage of 128-bit super keys: `(corpus name, InvertedIndex.storageStats)`. */
+  def storageTable(stats: Seq[(String, (Long, Long, Long, Long))]): String =
+    section("Index storage (reproduced §7.1): 128-bit super keys",
+      Seq("Corpus", "Cells", "Rows", "SK per cell", "SK per row", "Ratio"),
+      stats.map { case (name, (nCells, nRows, perCell, perRow)) => Seq(name, nCells.toString, nRows.toString,
+        f"${perCell / 1e6}%.1f MB", f"${perRow / 1e6}%.1f MB", f"${perCell.toDouble / perRow}%.1fx") })
+
+  def initColumnTable(results: Seq[InitColumnResult]): String =
+    section("§7.5.4 (reproduced): avg fetched PL items per heuristic",
+      Seq("Heuristic", "Avg PL items"), results.map(r => Seq(r.heuristic, f"${r.avgPlItems}%.0f")))
+
+  def systemsTable(results: Seq[SystemResult]): String =
+    section("Systems comparison (Figure 4 shape)",
+      Seq("Query set", "System", "ms (incl. fetch)", "Cells compared"),
+      results.map(r => Seq(r.set, r.system, f"${r.millis}%.0f", f"${r.cellsCompared}%.0f")))
 
   def formatTable(header: Seq[String], rows: Seq[Seq[String]]): String = {
     val widths = header.indices.map(i => (header(i) +: rows.map(_(i))).map(_.length).max)

@@ -66,11 +66,13 @@ object Hashes {
     * @param avgColumns corpus average column count V — used only by BF
     *                   and LHBF for the paper's H = (|a|/V)·ln2 formula.
     * @param cUnique    corpus unique-value count — used only by XASH for
-    *                   Eq. 5's α.
+    *                   Eq. 5's α, floored at the paper's example α = 4:
+    *                   on a scaled-down corpus Eq. 5 gives α = 2, one
+    *                   character bit (DESIGN.md §4).
     */
   def byName(name: String, bits: Int, avgColumns: Double = 5.0, cUnique: Long = 1L << 20): SuperKeyHash =
     name.toUpperCase match {
-      case "XASH"    => Xash(bits, Xash.optimalAlpha(bits, cUnique))
+      case "XASH"    => Xash(bits, math.max(4, Xash.optimalAlpha(bits, cUnique)))
       case "MD5"     => StandardHashes.Md5(bits)
       case "MURMUR"  => StandardHashes.Murmur(bits)
       case "CITY"    => StandardHashes.CityLike(bits)

@@ -5,7 +5,7 @@ import scala.collection.concurrent.TrieMap
 
 import repro.corpus.CorpusGen
 import repro.corpus.CorpusGen.{CorpusConfig, QuerySetConfig, QueryTable}
-import repro.core.{InitColumn, Joinability, MateLocal, MateSpark}
+import repro.core.{Joinability, MateLocal, MateSpark}
 import repro.hash.SuperKeyHash
 import repro.index.InvertedIndex
 
@@ -48,10 +48,8 @@ object Fixtures {
     * runs on.
     */
   def plItems(q: QueryTable, h: Option[SuperKeyHash]): Seq[MateLocal.PlItem] = {
-    val initCol = InitColumn.byCardinality(q.rows)
     val sks = h.map(rowSk(_).collect().map(r => (r.getLong(0), r.getLong(1)) -> r.getAs[Array[Byte]]("sk")).toMap)
-    MateSpark.candidates(pls, MateSpark.prepareQuery(spark, q)).collect()
-      .map(r => (r.getLong(0), r.getLong(1), r.getSeq[String](3)(initCol))).distinct.toSeq
+    MateSpark.fetch(pls, q).toSeq
       .map { case (t, r, v) => MateLocal.PlItem(t, r, v, sks.fold(Array.emptyByteArray)(_((t, r)))) }
   }
 

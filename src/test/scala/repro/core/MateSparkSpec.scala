@@ -92,6 +92,17 @@ class MateSparkSpec extends SparkSpec {
     assert(initVals == expected)
   }
 
+  test("fetch returns the distinct (tableId, rowId, init value) of the candidate pairs") {
+    for (q <- Fixtures.allQueries) {
+      val initCol = InitColumn.byCardinality(q.rows)
+      val fromCandidates = MateSpark.candidates(Fixtures.pls, MateSpark.prepareQuery(spark, q)).collect()
+        .map(r => (r.getLong(0), r.getLong(1), r.getSeq[String](3)(initCol))).toSet
+      val fetched = MateSpark.fetch(Fixtures.pls, q)
+      assert(fetched.length == fetched.distinct.length, s"query ${q.set}/${q.id}")
+      assert(fetched.toSet == fromCandidates, s"query ${q.set}/${q.id}")
+    }
+  }
+
   test("candidates are distinct (row retrieved once per query tuple even with repeated hits)") {
     val q = Fixtures.queries2.head
     val cand = MateSpark.candidates(Fixtures.pls, MateSpark.prepareQuery(spark, q))
@@ -132,7 +143,8 @@ class MateSparkSpec extends SparkSpec {
   private def discoverCached(q: QueryTable, h: Option[SuperKeyHash]): MateSpark.Result = {
     val cand = MateSpark.candidates(Fixtures.pls, MateSpark.prepareQuery(spark, q)).cache()
     cand.count()
-    try MateSpark.discover(cand, Fixtures.rowVals, MateSpark.rowFilter(spark, h.map(Fixtures.rowSk), h, q), k)
+    val filter = h.map(x => (Fixtures.rowSk(x), MateSpark.querySuperKeys(spark, q, x)))
+    try MateSpark.discover(cand, Fixtures.rowVals, filter, k)
     finally cand.unpersist()
   }
 

@@ -1,7 +1,8 @@
 package repro.harness
 
 import repro.{Fixtures, SparkSpec}
-import repro.hash.Xash
+import repro.corpus.CorpusGen
+import repro.hash.{Hashes, Xash}
 import repro.index.InvertedIndex
 
 class ExperimentsSpec extends SparkSpec {
@@ -9,13 +10,20 @@ class ExperimentsSpec extends SparkSpec {
   private lazy val pc = Experiments.prepare(spark, Fixtures.corpus)
 
   test("prepare caches candidates and local copies for every query") {
-    for ((set, qs) <- pc.queries; q <- qs) {
-      assert(pc.cands.contains((set, q.id)))
-      assert(pc.localPls.contains((set, q.id)))
-    }
+    for ((set, qs) <- pc.queries; q <- qs) assert(pc.localPls.contains((set, q.id)))
     assert(pc.localRows.keySet.nonEmpty)
     // local row copy matches the distributed row count
     assert(pc.localRows.map(_._2.size).sum == pc.rowVals.count())
+  }
+
+  test("prepare persists the posting lists and row values, nothing per query") {
+    // a corpus of its own: the shared fixture corpus's index may be cached already
+    val corpus = CorpusGen.generate(spark, Fixtures.config, Fixtures.queryConfigs)
+    val sc = spark.sparkContext
+    val before = sc.getPersistentRDDs.keySet
+    val p = Experiments.prepare(spark, corpus)
+    assert(sc.getPersistentRDDs.keySet.diff(before).size == 2)
+    Seq(p.pls, p.rowVals, corpus.cells).foreach(_.unpersist())
   }
 
   test("runConfig (SCR) reports coherent averaged metrics") {
@@ -75,6 +83,11 @@ class ExperimentsSpec extends SparkSpec {
     assert(names.contains(("MD5", 128)) && names.contains(("Murmur", 128)) && names.contains(("City", 128)))
     assert(!names.contains(("MD5", 512))) // 128-only families, as in the paper
     assert(grid.size == 3 + 5 * 3)
+    // Hashes.byName and the grid share one XASH α rule
+    for (c <- Seq(1000L, 8000L, 1000000L, 700000000L); b <- Seq(128, 256, 512)) {
+      val inGrid = Experiments.hashGrid(5.0, c).find(h => h.name == "XASH" && h.bits == b)
+      assert(inGrid.contains(Hashes.byName("XASH", b, 5.0, c)), s"XASH-$b at $c unique values")
+    }
   }
 
   test("formatTable aligns columns") {

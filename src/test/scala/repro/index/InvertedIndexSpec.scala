@@ -1,7 +1,7 @@
 package repro.index
 
 import org.apache.spark.sql.functions._
-import repro.{Fixtures, Oracle, SparkSpec, SynthData}
+import repro.{Fixtures, Oracle, SparkSpec}
 import repro.core.Joinability
 import repro.hash.{BloomHashes, SuperKeyHash, Xash}
 import repro.util.Bits
@@ -20,23 +20,6 @@ class InvertedIndexSpec extends SparkSpec {
       sparkCounts,
       "SELECT lower(trim(value)) AS value, count(*) AS cnt FROM cells GROUP BY 1",
       "cells" -> Fixtures.corpus.cells)
-  }
-
-  test("TPC-H-lite orders flow through the cells path with oracle-checked PL counts") {
-    val orders = SynthData.orders(spark, sf = 0.001)
-    val cells  = SynthData.toCells(orders, tableId = 7L)
-    val pls    = InvertedIndex.postingLists(cells)
-    Oracle.assertEquivalent(
-      pls.groupBy("value").agg(count(lit(1)) as "cnt"),
-      "SELECT lower(trim(value)) AS value, count(*) AS cnt FROM cells GROUP BY 1",
-      "cells" -> cells)
-  }
-
-  test("toCells emits one cell per (row, column) of the source frame") {
-    val customer = SynthData.customer(spark, sf = 0.001)
-    val cells = SynthData.toCells(customer, tableId = 1L)
-    assert(cells.count() == customer.count() * customer.columns.length)
-    assert(cells.select("colId").distinct().count() == customer.columns.length)
   }
 
   test("row value maps contain every column of every row") {
