@@ -16,7 +16,7 @@ object BuildIndexJob {
   def main(args: Array[String]): Unit = {
     val corpusName = args.headOption.getOrElse("WT")
     val bits       = args.lift(1).map(_.toInt).getOrElse(128)
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("mate-build-index")
       .getOrCreate()

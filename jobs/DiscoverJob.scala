@@ -19,7 +19,7 @@ object DiscoverJob {
     val hashName = args.lift(1).getOrElse("XASH")
     val bits     = args.lift(2).map(_.toInt).getOrElse(128)
     val k        = args.lift(3).map(_.toInt).getOrElse(Experiments.K)
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("mate-discover")
       .getOrCreate()

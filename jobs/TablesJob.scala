@@ -13,7 +13,7 @@ import repro.harness.Experiments
 object TablesJob {
   def main(args: Array[String]): Unit = {
     val which = args.headOption.getOrElse("all")
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("mate-tables")
       .getOrCreate()

@@ -11,26 +11,29 @@ import repro.hash.SuperKeyHash
   */
 object InitColumn {
 
+  /** Key columns of the query rows; 0 for a query with no rows. */
+  private def width(rows: Seq[Seq[String]]): Int = rows.headOption.fold(0)(_.length)
+
   /** Distinct-value count per key column of the query rows. */
   def cardinalities(rows: Seq[Seq[String]]): Seq[Int] = {
-    val q = rows.head.length
+    val q = width(rows)
     (0 until q).map(i => rows.map(r => SuperKeyHash.normalize(r(i))).distinct.size)
   }
 
-  /** MATE's heuristic: the column with the smallest cardinality. */
+  /** MATE's heuristic: the column with the smallest cardinality (0 for
+    * a query with no rows).
+    */
   def byCardinality(rows: Seq[Seq[String]]): Int = {
     val cs = cardinalities(rows)
-    cs.indexOf(cs.min)
+    cs.minOption.fold(0)(cs.indexOf)
   }
 
   /** Baseline (i): first column in table order. */
   def byColumnOrder(rows: Seq[Seq[String]]): Int = 0
 
   /** Baseline (ii) "TLS": the column containing the longest cell value. */
-  def byLongestString(rows: Seq[Seq[String]]): Int = {
-    val q = rows.head.length
-    (0 until q).maxBy(i => rows.map(r => SuperKeyHash.normalize(r(i)).length).max)
-  }
+  def byLongestString(rows: Seq[Seq[String]]): Int =
+    (0 until width(rows)).maxByOption(i => rows.map(r => SuperKeyHash.normalize(r(i)).length).max).getOrElse(0)
 
   /** Oracle bounds: given per-column fetched-PL counts, the best column
     * minimises and the worst maximises the count (§7.5.4's ground truth

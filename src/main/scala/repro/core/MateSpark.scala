@@ -1,37 +1,47 @@
 package repro.core
 
 import scala.collection.mutable.ArrayBuffer
+import scala.reflect.ClassTag
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.broadcast.Broadcast
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions.broadcast
+import org.apache.spark.unsafe.types.UTF8String
 
 import repro.corpus.CorpusGen.QueryTable
 import repro.hash.SuperKeyHash
 import repro.index.InvertedIndex
 import repro.util.Bits
 
-/** MATE's online discovery phase (§6) as a fetch plus one executor pass.
+/** MATE's online discovery phase (§6) as passes over the rows of the
+  * cached index relations.
   *
   * The paper fetches the init-column posting lists once and then runs
   * one per-table loop: mask the rows, verify the survivors, keep the
-  * top-k (Algorithm 1). A query here costs two Spark jobs:
+  * top-k (Algorithm 1). A query here builds and plans no DataFrame:
+  * each step is one pass over the rows of the relation it reads, its
+  * `queryExecution.toRdd`, a lazy val that Spark plans once per
+  * relation. A pass finds the relation's columns by name; the rows are
+  * reused buffers, so it copies out each value it keeps while it reads
+  * the row. MATE costs three Spark jobs, SCR two:
   *
-  *  1. '''fetch''' ([[fetch]]) — the init column is the one of minimum
-  *     cardinality (§6.1); the posting-list items holding a tuple's init
-  *     value are collected to the driver, as the paper fetches from
-  *     Vertica, and paired with the tuples holding that value. The paper
-  *     excludes this step from runtimes (§7.2), and so does [[run]].
-  *  2. '''row filtering + calculateJ''', one job — the candidate tuple
-  *     ids of each row reach the executors as a broadcast variable. With
-  *     a hash, each row keeps the tuple ids whose query super key its own
-  *     super key masks (`qsk ⊆ sk`, §6.3). The surviving rows are joined
-  *     with their row-value maps; both sides are partitioned on
-  *     `(tableId, rowId)`, so nothing shuffles.
-  *     [[Joinability.rowMappings]] enumerates each surviving pair's
-  *     column mappings on the executors, and one compact record per
-  *     verified row comes back: table, pairs, cells, and the matching
-  *     tuple ids with their mappings.
-  *  3. '''top-k''', on the driver — the records fold into [[Metrics]]
+  *  1. '''fetch''' ([[fetch]]), over the posting lists — the init column
+  *     is the one of minimum cardinality (§6.1); the posting-list items
+  *     holding a tuple's init value are collected to the driver, as the
+  *     paper fetches from Vertica, and paired with the tuples holding
+  *     that value. The paper excludes this step from runtimes (§7.2),
+  *     and so does [[run]].
+  *  2. '''row filtering''', over the row super keys (MATE only) — the
+  *     candidate tuple ids of each row reach the executors as a
+  *     broadcast variable; each candidate row keeps the tuple ids whose
+  *     query super key its own super key masks (`qsk ⊆ sk`, §6.3), and
+  *     only the surviving rows come back.
+  *  3. '''calculateJ''', over the row values — only the surviving rows
+  *     (every candidate row for SCR) have their values read, and
+  *     [[Joinability.rowMappings]] enumerates their pairs' column
+  *     mappings. One compact record per verified row comes back: table,
+  *     pairs, cells, and the matching tuple ids with their mappings.
+  *  4. '''top-k''', on the driver — the records fold into [[Metrics]]
   *     and, per table, into the best mapping's distinct-tuple count
   *     ([[Joinability.bestMappingCount]]); the k best under
   *     `(-j, tableId)` are returned.
@@ -127,14 +137,17 @@ object MateSpark {
   }
 
   /** The fetch phase: the distinct init-column posting-list items
-    * `(tableId, rowId, initValue)` of `q`, in one Spark job that filters
-    * the posting lists on the init values.
+    * `(tableId, rowId, initValue)` of `q`, in one pass over the posting
+    * lists that keeps the items holding an init value.
     */
   def fetch(postingLists: DataFrame, q: QueryTable): Array[(Long, Long, String)] = {
     val initCol = InitColumn.byCardinality(q.rows)
-    postingLists.filter(col("value").isin(normTuples(q).map(_(initCol)).distinct: _*))
-      .select("tableId", "rowId", "value").collect()
-      .map(r => (r.getLong(0), r.getLong(1), r.getString(2))).distinct
+    val wanted  = normTuples(q).map(t => UTF8String.fromString(t(initCol))).toSet
+    val Seq(v, t, r) = fieldIndices(postingLists, "value", "tableId", "rowId")
+    postingLists.queryExecution.toRdd
+      .mapPartitions(_.collect { case row if wanted(row.getUTF8String(v)) =>
+        (row.getLong(t), row.getLong(r), row.getUTF8String(v).toString) })
+      .collect().distinct
   }
 
   /** End-to-end: fetch + filter + verify + top-k for one query table.
@@ -158,7 +171,68 @@ object MateSpark {
     verify(spark, pairs, tuples.indices.map(i => i -> tuples(i)).toMap, rowVals, masks, k, t0)
   }
 
-  /** The executor pass over the distinct candidate `pairs`
+  /** Candidate or surviving rows: `(tableId, rowId) → qTupleIds`. */
+  private type RowIds = Map[(Long, Long), Seq[Int]]
+
+  private def fieldIndices(df: DataFrame, names: String*): Seq[Int] = names.map(df.schema.fieldIndex)
+
+  /** `f` with `value` broadcast to the executors, destroyed afterwards.
+    * A broadcast variable is deserialised once per executor; in the task
+    * binary it would be deserialised once per task.
+    */
+  private def withBroadcast[V: ClassTag, A](spark: SparkSession, value: V)(f: Broadcast[V] => A): A = {
+    val bc = spark.sparkContext.broadcast(value)
+    try f(bc) finally bc.destroy()
+  }
+
+  /** Row filter: one pass over the row super keys. A candidate row keeps
+    * the tuple ids whose query super key its own masks, one subset test
+    * per candidate pair (§6.3's "single operation").
+    */
+  private def filterRows(spark: SparkSession, rowSk: DataFrame, cand: RowIds, qsk: Map[Int, Array[Byte]]): RowIds =
+    withBroadcast(spark, cand) { bc =>
+      val Seq(t, r, s) = fieldIndices(rowSk, "tableId", "rowId", "sk")
+      rowSk.queryExecution.toRdd.mapPartitions { rows =>
+        val idsOf = bc.value
+        rows.flatMap { row =>
+          val key = (row.getLong(t), row.getLong(r))
+          idsOf.get(key).flatMap { ids =>
+            val sk   = row.getBinary(s)
+            val kept = ids.filter(i => Bits.subsetOf(qsk(i), sk))
+            if (kept.isEmpty) None else Some(key -> kept)
+          }
+        }
+      }.collect().toMap
+    }
+
+  /** Exact verification: one pass over the row values. Only the rows in
+    * `ids` have their value maps read and their pairs' mappings
+    * enumerated. One record per verified row: table, pairs, cells, and
+    * the tuple ids the row matches with their mappings.
+    */
+  private def verifyRows(
+      spark: SparkSession,
+      rowVals: DataFrame,
+      ids: RowIds,
+      tuples: Map[Int, Seq[String]]): Array[(Long, Int, Int, Seq[(Int, Seq[String])])] =
+    withBroadcast(spark, (ids, tuples)) { bc =>
+      val Seq(t, r, v) = fieldIndices(rowVals, "tableId", "rowId", "vals")
+      rowVals.queryExecution.toRdd.mapPartitions { rows =>
+        val (idsOf, tupleOf) = bc.value
+        rows.flatMap { row =>
+          val table = row.getLong(t)
+          idsOf.get((table, row.getLong(r))).map { qTupleIds =>
+            val m = row.getMap(v)
+            val (cols, values) = (m.keyArray(), m.valueArray())
+            val vals = (0 until m.numElements()).map(i => cols.getInt(i) -> values.getUTF8String(i).toString).toMap
+            val hits = qTupleIds.map(i => (i, Joinability.rowMappings(tupleOf(i), vals))).filter(_._2.nonEmpty)
+            (table, qTupleIds.length, m.numElements(), hits)
+          }
+        }
+      }.collect()
+    }
+
+  /** Row filter and verification of the distinct candidate `pairs`
     * `(tableId, rowId, qTupleId)`, then the driver-side fold. `masks`
     * holds the row super keys and each query tuple's super key.
     */
@@ -170,54 +244,18 @@ object MateSpark {
       masks: Option[(DataFrame, Map[Int, Array[Byte]])],
       k: Int,
       t0: Long): Result = {
-    import spark.implicits._
-
-    // The candidate tuple ids of each row and the query tuples reach the
-    // executors as one broadcast variable: in the task binary they would
-    // be deserialised once per task, and a broadcast join with a
-    // driver-side relation costs a Spark job of its own.
-    val bc = spark.sparkContext.broadcast(
-      (pairs.groupBy(p => (p._1, p._2)).view.mapValues(_.map(_._3).toSeq).toMap, tuples))
-    def ids(t: Long, r: Long): Seq[Int] = bc.value._1.getOrElse((t, r), Nil)
-
-    val candRows = masks match {
-      // Row filter: one subset test per candidate pair (§6.3's "single
-      // operation"); a row keeps the tuple ids whose query key it masks.
-      // The survivors and the row values are both partitioned on
-      // (tableId, rowId), so their join does not shuffle; a hash join on
-      // the few survivors spares sorting the row values.
-      case Some((rowSk, qsk)) =>
-        val mask = udf((t: Long, r: Long, sk: Array[Byte]) =>
-          ids(t, r).filter(i => qsk.get(i).exists(Bits.subsetOf(_, sk))))
-        val survivors = rowSk
-          .select($"tableId", $"rowId", mask($"tableId", $"rowId", $"sk") as "qTupleIds")
-          .filter(size($"qTupleIds") > 0)
-        rowVals.join(survivors.hint("shuffle_hash"), Seq("tableId", "rowId"))
-      case None =>
-        val idsOf = udf((t: Long, r: Long) => ids(t, r))
-        rowVals.withColumn("qTupleIds", idsOf($"tableId", $"rowId")).filter(size($"qTupleIds") > 0)
-    }
-
-    // Exact verification: the tuple ids a row matches, with their mappings.
-    val mappings = udf((qTupleIds: Seq[Int], vals: Map[Int, String]) =>
-      qTupleIds.map(i => (i, Joinability.rowMappings(bc.value._2(i), vals))).filter(_._2.nonEmpty))
-    val records =
-      try candRows
-        .select($"tableId", size($"qTupleIds") as "pairs", size($"vals") as "cells",
-          mappings($"qTupleIds", $"vals") as "hits")
-        .collect()
-      finally bc.destroy()
+    val cand: RowIds = pairs.groupBy(p => (p._1, p._2)).view.mapValues(_.map(_._3).toSeq).toMap
+    val survivors = masks.fold(cand) { case (rowSk, qsk) => filterRows(spark, rowSk, cand, qsk) }
+    val records   = verifyRows(spark, rowVals, survivors, tuples)
 
     var verifiedPairs, tpRows, cellsCompared = 0L
     val hitsByTable = scala.collection.mutable.Map.empty[Long, ArrayBuffer[(Int, Seq[String])]]
-    for (r <- records) {
-      val pairs = r.getInt(1).toLong
-      val hits  = r.getSeq[Row](3)
+    for ((table, pairs, cells, hits) <- records) {
       verifiedPairs += pairs
-      cellsCompared += pairs * r.getInt(2)
+      cellsCompared += pairs.toLong * cells
       if (hits.nonEmpty) {
         tpRows += 1
-        hitsByTable.getOrElseUpdate(r.getLong(0), ArrayBuffer.empty) ++= hits.map(h => (h.getInt(0), h.getSeq[String](1)))
+        hitsByTable.getOrElseUpdate(table, ArrayBuffer.empty) ++= hits
       }
     }
     val topK = hitsByTable.iterator

@@ -156,7 +156,7 @@ object CorpusGen {
     val cellsDf = cells.toDF().cache()
     val avgCols = cellsDf.groupBy("tableId")
       .agg(org.apache.spark.sql.functions.max($"colId") + 1 as "nc")
-      .agg(org.apache.spark.sql.functions.avg($"nc")).head.getDouble(0)
+      .agg(org.apache.spark.sql.functions.avg($"nc")).head().getDouble(0)
     val uniq = cellsDf.select("value").distinct().count()
     Corpus(cfg.name, cellsDf, querySets, avgCols, uniq, cfg.nTables)
   }

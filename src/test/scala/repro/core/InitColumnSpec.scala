@@ -49,4 +49,10 @@ class InitColumnSpec extends AnyFunSuite with PropHelpers {
     assert(InitColumn.byCardinality(single) == 0)
     assert(InitColumn.byLongestString(single) == 0)
   }
+
+  test("a query with no rows has no columns and picks column 0") {
+    assert(InitColumn.cardinalities(Seq.empty).isEmpty)
+    assert(InitColumn.byCardinality(Seq.empty) == 0)
+    assert(InitColumn.byLongestString(Seq.empty) == 0)
+  }
 }

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.{Fixtures, SparkSpec}
+import repro.corpus.CorpusGen.QueryTable
 import repro.hash.Xash
 
 class MateLocalSpec extends SparkSpec {
@@ -72,5 +73,14 @@ class MateLocalSpec extends SparkSpec {
     val r = MateLocal.discover(Seq.empty, q, Some(hash), fetchRows, k)
     assert(r.topK.isEmpty)
     assert(r.counters.plItemsSeen == 0)
+  }
+
+  test("a query table with no rows yields an empty result and zero counters") {
+    val q = QueryTable("empty", 0, Seq.empty)
+    for (h <- Seq(Some(hash), None)) {
+      val r = MateLocal.discover(Fixtures.plItems(q, h), q, h, fetchRows, k)
+      assert(r.topK.isEmpty)
+      assert(r.counters == MateLocal.Counters())
+    }
   }
 }

@@ -1,10 +1,11 @@
 package repro.core
 
-import org.apache.spark.SparkJobCounter
-import org.apache.spark.sql.functions._
+import org.apache.spark.{SparkJobCounter, SqlExecutionCounter}
+import org.apache.spark.storage.StorageLevel
 import repro.{Fixtures, Oracle, SparkSpec}
 import repro.corpus.CorpusGen.QueryTable
 import repro.hash.{BloomHashes, Hashes, StandardHashes, SuperKeyHash, Xash}
+import repro.index.InvertedIndex
 
 class MateSparkSpec extends SparkSpec {
 
@@ -139,6 +140,37 @@ class MateSparkSpec extends SparkSpec {
     }
   }
 
+  test("one MateSpark.run plans no SQL query, with and without a hash") {
+    val q = Fixtures.queries3.head
+    val (_, count) = SqlExecutionCounter(spark)(Fixtures.pls.count())
+    assert(count == 1, "the counter sees a DataFrame action")
+    for (h <- Seq(Some(Xash(128, 4)), None)) {
+      runWith(q, h)
+      val (_, executions) = SqlExecutionCounter(spark)(runWith(q, h))
+      assert(executions == 0, s"${h.getOrElse("SCR")}: $executions SQL query executions")
+    }
+  }
+
+  test("run reads the index relations' columns by name and needs no cache") {
+    // a new source plan, so no cached plan matches the relations built on it
+    val cells = spark.createDataFrame(Fixtures.corpus.cells.rdd, Fixtures.corpus.cells.schema)
+    for (h <- Seq(Some(Xash(128, 4)), None)) {
+      val reordered = (Fixtures.pls.select("rowId", "colId", "value", "tableId"),
+        Fixtures.rowVals.select("vals", "rowId", "tableId"),
+        h.map(Fixtures.rowSk(_).select("sk", "rowId", "tableId")))
+      val uncached = (InvertedIndex.postingLists(cells), InvertedIndex.rowValues(cells),
+        h.map(InvertedIndex.rowSuperKeys(cells, _)))
+      for (df <- Seq(uncached._1, uncached._2) ++ uncached._3) assert(df.storageLevel == StorageLevel.NONE)
+      for (q <- Fixtures.allQueries; (how, (pls, rowVals, rowSk)) <- Seq("reordered" -> reordered, "uncached" -> uncached)) {
+        val what     = s"query ${q.set}/${q.id} ${h.getOrElse("SCR")} $how"
+        val expected = runWith(q, h)
+        val r        = MateSpark.run(spark, pls, rowVals, rowSk, h, q, k)
+        assert(r.topK == expected.topK, what)
+        assert(r.metrics.copy(millis = 0) == expected.metrics.copy(millis = 0), what)
+      }
+    }
+  }
+
   /** [[MateSpark.discover]] on cached candidates, as the benches call it. */
   private def discoverCached(q: QueryTable, h: Option[SuperKeyHash]): MateSpark.Result = {
     val cand = MateSpark.candidates(Fixtures.pls, MateSpark.prepareQuery(spark, q)).cache()
@@ -161,10 +193,21 @@ class MateSparkSpec extends SparkSpec {
     }
   }
 
+  private val zero = MateSpark.Metrics(0, 0, 0, 0, 0, 0, 0, 0)
+
   test("a query whose values are absent from the corpus yields an empty top-k and zero counters") {
     val q = QueryTable("absent", 0, Seq(Seq("no such value", "none either"), Seq("nor this", "nor that")))
-    val zero = MateSpark.Metrics(0, 0, 0, 0, 0, 0, 0, 0)
     for (h <- Seq(Some(Xash(128, 4)), None); r <- Seq(runWith(q, h), discoverCached(q, h))) {
+      assert(r.topK.isEmpty)
+      assert(r.metrics.copy(millis = 0) == zero)
+    }
+  }
+
+  test("a query table with no rows yields an empty top-k and zero counters") {
+    val q = QueryTable("empty", 0, Seq.empty)
+    assert(MateSpark.fetch(Fixtures.pls, q).isEmpty)
+    for (h <- Seq(Some(Xash(128, 4)), None)) {
+      val r = runWith(q, h)
       assert(r.topK.isEmpty)
       assert(r.metrics.copy(millis = 0) == zero)
     }
