@@ -64,7 +64,6 @@ object JosieLite {
       q: QueryTable,
       k: Int,
       candidateFactor: Int = 5): Result = {
-    import spark.implicits._
     val tuples = q.tuples.map(_.map(SuperKeyHash.normalize))
     val perCol = (0 until q.qSize).map { i =>
       topTablesByOverlap(postingLists, tuples.map(_(i)), candidateFactor * k)

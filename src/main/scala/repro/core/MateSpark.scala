@@ -1,16 +1,17 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
+import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
-import scala.reflect.ClassTag
 
-import org.apache.spark.broadcast.Broadcast
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions.broadcast
 import org.apache.spark.unsafe.types.UTF8String
 
 import repro.corpus.CorpusGen.QueryTable
 import repro.hash.SuperKeyHash
-import repro.index.InvertedIndex
 import repro.util.Bits
 
 /** MATE's online discovery phase (§6) as passes over the rows of the
@@ -19,11 +20,13 @@ import repro.util.Bits
   * The paper fetches the init-column posting lists once and then runs
   * one per-table loop: mask the rows, verify the survivors, keep the
   * top-k (Algorithm 1). A query here builds and plans no DataFrame:
-  * each step is one pass over the rows of the relation it reads, its
+  * each step is one pass over the rows of the relations it reads, their
   * `queryExecution.toRdd`, a lazy val that Spark plans once per
-  * relation. A pass finds the relation's columns by name; the rows are
+  * relation. A pass finds the relations' columns by name; the rows are
   * reused buffers, so it copies out each value it keeps while it reads
-  * the row. MATE costs three Spark jobs, SCR two:
+  * the row. The candidate rows travel to the executors in the task
+  * closure as flat arrays, and a pass runs at most one task per core.
+  * MATE and SCR each cost two Spark jobs:
   *
   *  1. '''fetch''' ([[fetch]]), over the posting lists — the init column
   *     is the one of minimum cardinality (§6.1); the posting-list items
@@ -31,17 +34,26 @@ import repro.util.Bits
   *     paper fetches from Vertica, and paired with the tuples holding
   *     that value. The paper excludes this step from runtimes (§7.2),
   *     and so does [[run]].
-  *  2. '''row filtering''', over the row super keys (MATE only) — the
-  *     candidate tuple ids of each row reach the executors as a
-  *     broadcast variable; each candidate row keeps the tuple ids whose
-  *     query super key its own super key masks (`qsk ⊆ sk`, §6.3), and
-  *     only the surviving rows come back.
-  *  3. '''calculateJ''', over the row values — only the surviving rows
-  *     (every candidate row for SCR) have their values read, and
-  *     [[Joinability.rowMappings]] enumerates their pairs' column
-  *     mappings. One compact record per verified row comes back: table,
-  *     pairs, cells, and the matching tuple ids with their mappings.
-  *  4. '''top-k''', on the driver — the records fold into [[Metrics]]
+  *  2. '''row filtering and calculateJ''', one pass over the row super
+  *     keys zipped partition by partition with the row values — each
+  *     partition first keeps, of its candidate rows, the tuple ids whose
+  *     query super key the row's super key masks (`qsk ⊆ sk`, §6.3);
+  *     then it reads its row values and verifies the surviving rows it
+  *     finds there: [[Joinability.rowMappings]] enumerates their pairs'
+  *     column mappings. One compact record per verified row comes back:
+  *     table, pairs, cells, and the matching tuple ids with their
+  *     mappings. SCR has no filter: its pass reads the row values alone
+  *     and verifies every candidate row. The survivors a partition does
+  *     not find among its row values (''unseen survivors'') come back
+  *     too, and SCR's pass verifies them. The relations
+  *     [[repro.index.InvertedIndex]] builds hash-aggregate on
+  *     `(tableId, rowId)` and keep that partitioning when cached, so for
+  *     them there are none and no third job runs. Their plans cannot
+  *     show this in advance; for any other relations (uncached,
+  *     repartitioned, or with a different partition count, when each
+  *     super-key partition is paired with no values) the third job keeps
+  *     the result exact, and each survivor is verified once.
+  *  3. '''top-k''', on the driver — the records fold into [[Metrics]]
   *     and, per table, into the best mapping's distinct-tuple count
   *     ([[Joinability.bestMappingCount]]); the k best under
   *     `(-j, tableId)` are returned.
@@ -116,7 +128,7 @@ object MateSpark {
     *
     * @param cand     candidate pairs from [[candidates]], collected to
     *                 the driver here
-    * @param rowVals  per-row value maps ([[InvertedIndex.rowValues]])
+    * @param rowVals  per-row value maps ([[repro.index.InvertedIndex.rowValues]])
     * @param filter   `Some((rowSk, querySk))` for MATE with a hash;
     *                 `None` for the SCR baseline (exact checks only)
     * @param k        number of joinable tables to return
@@ -129,11 +141,14 @@ object MateSpark {
     val t0 = System.nanoTime()
     val fetched = cand.select("tableId", "rowId", "qTupleId", "tuple").collect()
     val tuples  = fetched.iterator.map(r => r.getInt(2) -> r.getSeq[String](3)).toMap
-    val pairs   = fetched.map(r => (r.getLong(0), r.getLong(1), r.getInt(2))).distinct
+    val qIds    = tuples.keys.toArray // tuple i below is the one with qTupleId qIds(i)
+    val at      = qIds.zipWithIndex.toMap
+    val pairs   = fetched.map(r => (r.getLong(0), r.getLong(1), at(r.getInt(2)))).distinct
     val masks   = filter.map { case (rowSk, querySk) =>
-      (rowSk, querySk.select("qTupleId", "qsk").collect().map(r => r.getInt(0) -> r.getAs[Array[Byte]](1)).toMap)
+      val qsk = querySk.select("qTupleId", "qsk").collect().map(r => r.getInt(0) -> r.getAs[Array[Byte]](1)).toMap
+      (rowSk, qIds.map(qsk))
     }
-    verify(cand.sparkSession, pairs, tuples, rowVals, masks, k, t0)
+    verify(pairs, qIds.map(tuples(_).toArray), rowVals, masks, k, t0)
   }
 
   /** The fetch phase: the distinct init-column posting-list items
@@ -167,89 +182,135 @@ object MateSpark {
     val byInit  = tuples.indices.groupBy(tuples(_)(initCol))
     val pairs   = fetch(postingLists, q).flatMap { case (t, r, v) => byInit(v).map((t, r, _)) }
     val t0 = System.nanoTime()
-    val masks = for (sk <- rowSk; h <- hash) yield (sk, tuples.indices.map(i => i -> h.superKey(tuples(i))).toMap)
-    verify(spark, pairs, tuples.indices.map(i => i -> tuples(i)).toMap, rowVals, masks, k, t0)
+    val masks = for (sk <- rowSk; h <- hash) yield (sk, tuples.map(h.superKey).toArray)
+    verify(pairs, tuples.map(_.toArray).toArray, rowVals, masks, k, t0)
   }
 
-  /** Candidate or surviving rows: `(tableId, rowId) → qTupleIds`. */
-  private type RowIds = Map[(Long, Long), Seq[Int]]
+  /** Candidate or surviving rows as flat arrays: row `i` is
+    * `(tables(i), rows(i))`, with the query tuple ids
+    * `ids(offsets(i) until offsets(i + 1))`. Arrays of primitives are
+    * cheap to serialise into a task; each task builds the [[index]] once.
+    */
+  private final case class Rows(tables: Array[Long], rows: Array[Long], offsets: Array[Int], ids: Array[Int]) {
+    def idsOf(i: Int): Array[Int] = ids.slice(offsets(i), offsets(i + 1))
+
+    def index: mutable.HashMap[(Long, Long), Int] = {
+      val m = new mutable.HashMap[(Long, Long), Int](tables.length, mutable.HashMap.defaultLoadFactor)
+      for (i <- tables.indices) m((tables(i), rows(i))) = i
+      m
+    }
+  }
+
+  private object Rows {
+    def apply(byRow: IterableOnce[((Long, Long), Array[Int])]): Rows = {
+      val all = byRow.iterator.toArray
+      Rows(all.map(_._1._1), all.map(_._1._2), all.map(_._2.length).scanLeft(0)(_ + _), all.flatMap(_._2))
+    }
+  }
+
+  /** One verified row: table, pairs, cells, and the tuple ids the row
+    * matches with their mappings.
+    */
+  private type Record = (Long, Int, Int, Seq[(Int, Seq[String])])
 
   private def fieldIndices(df: DataFrame, names: String*): Seq[Int] = names.map(df.schema.fieldIndex)
 
-  /** `f` with `value` broadcast to the executors, destroyed afterwards.
-    * A broadcast variable is deserialised once per executor; in the task
-    * binary it would be deserialised once per task.
+  /** `rdd` in at most one partition per core: a task's start-up, not its
+    * rows, sets the cost of a pass.
     */
-  private def withBroadcast[V: ClassTag, A](spark: SparkSession, value: V)(f: Broadcast[V] => A): A = {
-    val bc = spark.sparkContext.broadcast(value)
-    try f(bc) finally bc.destroy()
+  private def perCore[A](rdd: RDD[A]): RDD[A] = {
+    val cores = rdd.sparkContext.defaultParallelism
+    if (rdd.getNumPartitions > cores) rdd.coalesce(cores) else rdd
   }
 
-  /** Row filter: one pass over the row super keys. A candidate row keeps
-    * the tuple ids whose query super key its own masks, one subset test
-    * per candidate pair (§6.3's "single operation").
+  /** Exact verification of one row holding the query tuples `ids`: its
+    * value map (column `v` of `row`) is read and its pairs' mappings
+    * enumerated.
     */
-  private def filterRows(spark: SparkSession, rowSk: DataFrame, cand: RowIds, qsk: Map[Int, Array[Byte]]): RowIds =
-    withBroadcast(spark, cand) { bc =>
-      val Seq(t, r, s) = fieldIndices(rowSk, "tableId", "rowId", "sk")
-      rowSk.queryExecution.toRdd.mapPartitions { rows =>
-        val idsOf = bc.value
-        rows.flatMap { row =>
-          val key = (row.getLong(t), row.getLong(r))
-          idsOf.get(key).flatMap { ids =>
-            val sk   = row.getBinary(s)
-            val kept = ids.filter(i => Bits.subsetOf(qsk(i), sk))
-            if (kept.isEmpty) None else Some(key -> kept)
-          }
-        }
-      }.collect().toMap
-    }
+  private def verifyRow(table: Long, row: InternalRow, v: Int, ids: Array[Int], tuples: Array[Array[String]]): Record = {
+    val m = row.getMap(v)
+    val (cols, values) = (m.keyArray(), m.valueArray())
+    val vals = (0 until m.numElements()).map(i => cols.getInt(i) -> values.getUTF8String(i).toString).toMap
+    val hits = ids.toSeq.map(i => (i, Joinability.rowMappings(ArraySeq.unsafeWrapArray(tuples(i)), vals))).filter(_._2.nonEmpty)
+    (table, ids.length, m.numElements(), hits)
+  }
 
   /** Exact verification: one pass over the row values. Only the rows in
-    * `ids` have their value maps read and their pairs' mappings
-    * enumerated. One record per verified row: table, pairs, cells, and
-    * the tuple ids the row matches with their mappings.
+    * `cand` have their value maps read.
     */
-  private def verifyRows(
-      spark: SparkSession,
-      rowVals: DataFrame,
-      ids: RowIds,
-      tuples: Map[Int, Seq[String]]): Array[(Long, Int, Int, Seq[(Int, Seq[String])])] =
-    withBroadcast(spark, (ids, tuples)) { bc =>
-      val Seq(t, r, v) = fieldIndices(rowVals, "tableId", "rowId", "vals")
-      rowVals.queryExecution.toRdd.mapPartitions { rows =>
-        val (idsOf, tupleOf) = bc.value
-        rows.flatMap { row =>
-          val table = row.getLong(t)
-          idsOf.get((table, row.getLong(r))).map { qTupleIds =>
-            val m = row.getMap(v)
-            val (cols, values) = (m.keyArray(), m.valueArray())
-            val vals = (0 until m.numElements()).map(i => cols.getInt(i) -> values.getUTF8String(i).toString).toMap
-            val hits = qTupleIds.map(i => (i, Joinability.rowMappings(tupleOf(i), vals))).filter(_._2.nonEmpty)
-            (table, qTupleIds.length, m.numElements(), hits)
-          }
-        }
-      }.collect()
-    }
+  private def verifyRows(rowVals: DataFrame, cand: Rows, tuples: Array[Array[String]]): Array[Record] = {
+    val Seq(t, r, v) = fieldIndices(rowVals, "tableId", "rowId", "vals")
+    perCore(rowVals.queryExecution.toRdd.mapPartitions { rows =>
+      val at = cand.index
+      rows.flatMap { row =>
+        val table = row.getLong(t)
+        at.get((table, row.getLong(r))).map(i => verifyRow(table, row, v, cand.idsOf(i), tuples))
+      }
+    }).collect()
+  }
 
-  /** Row filter and verification of the distinct candidate `pairs`
-    * `(tableId, rowId, qTupleId)`, then the driver-side fold. `masks`
-    * holds the row super keys and each query tuple's super key.
+  /** Row filter and verification: one pass over the row super keys
+    * zipped with the row values. A partition drains its super keys
+    * first: a candidate row keeps the tuple ids whose query super key
+    * its own masks, one subset test per candidate pair (§6.3's "single
+    * operation"). Then it verifies the surviving rows it finds among
+    * its row values. Returns the records and the unseen survivors.
+    */
+  private def filterAndVerify(
+      rowSk: DataFrame,
+      rowVals: DataFrame,
+      cand: Rows,
+      qsk: Array[Array[Byte]],
+      tuples: Array[Array[String]]): (Array[Record], Rows) = {
+    val Seq(st, sr, s) = fieldIndices(rowSk, "tableId", "rowId", "sk")
+    val Seq(vt, vr, v) = fieldIndices(rowVals, "tableId", "rowId", "vals")
+    def pass(sks: Iterator[InternalRow], vals: Iterator[InternalRow]): Iterator[(Array[Record], Array[((Long, Long), Array[Int])])] = {
+      val at   = cand.index
+      val kept = mutable.HashMap.empty[(Long, Long), Array[Int]]
+      for (row <- sks) {
+        val key = (row.getLong(st), row.getLong(sr))
+        for (i <- at.get(key)) {
+          val sk  = row.getBinary(s)
+          val ids = cand.idsOf(i).filter(id => Bits.subsetOf(qsk(id), sk))
+          if (ids.nonEmpty) kept(key) = ids
+        }
+      }
+      val records = vals.flatMap { row =>
+        val key = (row.getLong(vt), row.getLong(vr))
+        kept.remove(key).map(verifyRow(key._1, row, v, _, tuples))
+      }.toArray
+      Iterator.single((records, kept.toArray))
+    }
+    val (sks, vals) = (rowSk.queryExecution.toRdd, rowVals.queryExecution.toRdd)
+    val zipped =
+      if (sks.getNumPartitions == vals.getNumPartitions) sks.zipPartitions(vals)(pass)
+      else sks.mapPartitions(pass(_, Iterator.empty))
+    val parts = perCore(zipped).collect()
+    (parts.flatMap(_._1), Rows(parts.iterator.flatMap(_._2)))
+  }
+
+  /** Row filter, verification and the driver-side fold of the distinct
+    * candidate `pairs` `(tableId, rowId, i)` of the query `tuples`, `i`
+    * indexing `tuples`. `masks` holds the row super keys and each query
+    * tuple's super key.
     */
   private def verify(
-      spark: SparkSession,
       pairs: Array[(Long, Long, Int)],
-      tuples: Map[Int, Seq[String]],
+      tuples: Array[Array[String]],
       rowVals: DataFrame,
-      masks: Option[(DataFrame, Map[Int, Array[Byte]])],
+      masks: Option[(DataFrame, Array[Array[Byte]])],
       k: Int,
       t0: Long): Result = {
-    val cand: RowIds = pairs.groupBy(p => (p._1, p._2)).view.mapValues(_.map(_._3).toSeq).toMap
-    val survivors = masks.fold(cand) { case (rowSk, qsk) => filterRows(spark, rowSk, cand, qsk) }
-    val records   = verifyRows(spark, rowVals, survivors, tuples)
+    val cand    = Rows(pairs.groupMap(p => (p._1, p._2))(_._3))
+    val records = masks match {
+      case None => verifyRows(rowVals, cand, tuples)
+      case Some((rowSk, qsk)) =>
+        val (seen, unseen) = filterAndVerify(rowSk, rowVals, cand, qsk, tuples)
+        if (unseen.tables.isEmpty) seen else seen ++ verifyRows(rowVals, unseen, tuples)
+    }
 
     var verifiedPairs, tpRows, cellsCompared = 0L
-    val hitsByTable = scala.collection.mutable.Map.empty[Long, ArrayBuffer[(Int, Seq[String])]]
+    val hitsByTable = mutable.Map.empty[Long, ArrayBuffer[(Int, Seq[String])]]
     for ((table, pairs, cells, hits) <- records) {
       verifiedPairs += pairs
       cellsCompared += pairs.toLong * cells

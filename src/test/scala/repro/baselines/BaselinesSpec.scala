@@ -2,7 +2,6 @@ package repro.baselines
 
 import repro.{Fixtures, SparkSpec}
 import repro.core.MateSpark
-import repro.hash.Xash
 
 class BaselinesSpec extends SparkSpec {
 

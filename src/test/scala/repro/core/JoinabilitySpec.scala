@@ -1,6 +1,5 @@
 package repro.core
 
-import org.scalatest.funsuite.AnyFunSuite
 import repro.{Oracle, PropHelpers, SparkSpec}
 
 class JoinabilitySpec extends SparkSpec with PropHelpers {

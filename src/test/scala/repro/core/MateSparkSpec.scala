@@ -131,12 +131,12 @@ class MateSparkSpec extends SparkSpec {
     }
   }
 
-  test("one MateSpark.run launches at most 3 Spark jobs, with and without a hash") {
+  test("one MateSpark.run launches exactly 2 Spark jobs, with and without a hash") {
     val q = Fixtures.queries3.head
     for (h <- Seq(Some(Xash(128, 4)), None)) {
       runWith(q, h) // materialises the cached index parts the query reads
       val (_, jobs) = SparkJobCounter(spark)(runWith(q, h))
-      assert(jobs <= 3, s"${h.getOrElse("SCR")}: $jobs Spark jobs")
+      assert(jobs == 2, s"${h.getOrElse("SCR")}: $jobs Spark jobs")
     }
   }
 
@@ -161,7 +161,12 @@ class MateSparkSpec extends SparkSpec {
       val uncached = (InvertedIndex.postingLists(cells), InvertedIndex.rowValues(cells),
         h.map(InvertedIndex.rowSuperKeys(cells, _)))
       for (df <- Seq(uncached._1, uncached._2) ++ uncached._3) assert(df.storageLevel == StorageLevel.NONE)
-      for (q <- Fixtures.allQueries; (how, (pls, rowVals, rowSk)) <- Seq("reordered" -> reordered, "uncached" -> uncached)) {
+      // as many partitions as the row super keys, but the rows placed round-robin
+      val n         = Fixtures.rowVals.queryExecution.toRdd.getNumPartitions
+      val scattered = (Fixtures.pls, Fixtures.rowVals.repartition(n), h.map(Fixtures.rowSk))
+      for (df <- scattered._2 +: scattered._3.toSeq) assert(df.queryExecution.toRdd.getNumPartitions == n)
+      for (q <- Fixtures.allQueries;
+           (how, (pls, rowVals, rowSk)) <- Seq("reordered" -> reordered, "uncached" -> uncached, "scattered" -> scattered)) {
         val what     = s"query ${q.set}/${q.id} ${h.getOrElse("SCR")} $how"
         val expected = runWith(q, h)
         val r        = MateSpark.run(spark, pls, rowVals, rowSk, h, q, k)

@@ -1,8 +1,6 @@
 package repro.corpus
 
-import org.scalatest.funsuite.AnyFunSuite
 import repro.{Fixtures, SparkSpec}
-import repro.core.Joinability
 
 class CorpusGenSpec extends SparkSpec {
 
