@@ -7,66 +7,68 @@ import repro.hash.SuperKeyHash
   * j(R, S) = max over column permutations Y' of |π_X(R) ∩ π_Y'(S)|
   * (Eq. 2): the number of distinct query key tuples that appear in the
   * candidate table under the single best column mapping.
+  *
+  * A column mapping assigns each query key position i a distinct column
+  * c; it is packed into one `Long`, column c in bits 8i until 8i + 8.
+  * So a query has at most 8 key columns and a mapped column id is below
+  * 256; anything larger fails a `require` rather than being truncated.
   */
 object Joinability {
 
-  /** All injective column mappings under which `tuple` matches `row`.
-    *
-    * A mapping assigns each query key position i a distinct column c
-    * with row(c) == tuple(i) (values pre-normalised). Returned as
-    * canonical signature strings "0:c0|1:c1|…" so dataflows can group
-    * by mapping. Enumeration is capped — a row matching under more
-    * than `cap` mappings contributes its first `cap` (tables in the
-    * paper's corpora have ≤ ~30 columns and |Q| ≤ 10, so the cap is
-    * never the binding constraint in practice).
+  /** Calls `f` with every injective column mapping under which the row
+    * holds `tuple`: position i maps to a column `cols(c)` with
+    * `vals(c) == tuple(i)` (values pre-normalised). Enumeration is
+    * exact, with no bound on the number of mappings.
     */
-  def rowMappings(tuple: Seq[String], row: Map[Int, String], cap: Int = 64): Seq[String] = {
-    val candCols: Seq[Seq[Int]] =
-      tuple.map(v => row.collect { case (c, rv) if rv == v => c }.toSeq.sorted)
-    if (candCols.exists(_.isEmpty)) return Seq.empty
-    val out  = scala.collection.mutable.ArrayBuffer.empty[String]
-    val used = scala.collection.mutable.Set.empty[Int]
-    val pick = new Array[Int](tuple.length)
-    def rec(i: Int): Unit = {
-      if (out.length >= cap) return
-      if (i == tuple.length) {
-        out += pick.zipWithIndex.map { case (c, q) => s"$q:$c" }.mkString("|")
-        return
+  def forEachMapping(tuple: Array[String], cols: Array[Int], vals: Array[String])(f: Long => Unit): Unit = {
+    require(tuple.length <= 8, s"a packed mapping holds at most 8 query columns, not ${tuple.length}")
+    val used = new Array[Boolean](cols.length)
+    def rec(i: Int, packed: Long): Unit =
+      if (i == tuple.length) f(packed)
+      else for (c <- cols.indices) if (!used(c) && vals(c) == tuple(i)) {
+        require((cols(c) & ~0xff) == 0, s"a packed mapping holds column ids 0 to 255, not ${cols(c)}")
+        used(c) = true
+        rec(i + 1, packed | (cols(c).toLong << (8 * i)))
+        used(c) = false
       }
-      for (c <- candCols(i) if !used(c) && out.length < cap) {
-        used += c; pick(i) = c
-        rec(i + 1)
-        used -= c
-      }
-    }
-    rec(0)
-    out.toSeq
+    rec(0, 0L)
   }
 
-  /** True iff the row contains the full key tuple in distinct columns. */
-  def rowJoinable(tuple: Seq[String], row: Map[Int, String]): Boolean =
-    rowMappings(tuple, row, cap = 1).nonEmpty
+  /** Every packed mapping under which the row `cols` → `vals` holds `tuple`. */
+  def mappings(tuple: Array[String], cols: Array[Int], vals: Array[String]): Array[Long] = {
+    val out = Array.newBuilder[Long]
+    forEachMapping(tuple, cols, vals)(out += _)
+    out.result()
+  }
 
-  /** Joinability of one table from its verified rows (§2, Eq. 2): the
-    * best single mapping's distinct-tuple count. `hits` holds, per
-    * verified (row × query tuple) pair, the tuple id and the mappings
-    * [[rowMappings]] found; 0 when no row matches under any mapping.
-    * Both engines and the ground truth score tables with this fold.
+  /** [[mappings]] of a row given as a column → value map. */
+  def rowMappings(tuple: Seq[String], row: Map[Int, String]): Array[Long] = {
+    val (cols, vals) = row.toArray.unzip
+    mappings(tuple.toArray, cols, vals)
+  }
+
+  /** Joinability of one table from its verified rows (§2, Eq. 2): each
+    * mapping collects the ids of the query tuples it matched, and j is
+    * the largest such set, 0 when no row matches under any mapping.
+    * Both engines and [[groundTruth]] score tables with it.
     */
-  def bestMappingCount(hits: IterableOnce[(Int, Seq[String])]): Long = {
-    val perMapping = scala.collection.mutable.Map.empty[String, scala.collection.mutable.Set[Int]]
-    for ((ti, mappings) <- hits.iterator; m <- mappings)
-      perMapping.getOrElseUpdate(m, scala.collection.mutable.Set.empty) += ti
-    perMapping.valuesIterator.map(_.size.toLong).maxOption.getOrElse(0L)
+  final class TableScore {
+    private val tuplesOf = collection.mutable.LongMap.empty[collection.mutable.BitSet]
+
+    def add(tupleId: Int, mapping: Long): Unit =
+      tuplesOf.getOrElseUpdate(mapping, collection.mutable.BitSet.empty) += tupleId
+
+    def j: Long = tuplesOf.valuesIterator.map(_.size.toLong).maxOption.getOrElse(0L)
   }
 
   /** Ground-truth joinability of one candidate table against a set of
-    * distinct query tuples (local reference implementation used by tests
-    * and Table 1 statistics).
+    * distinct query tuples: the local reference the tests compare the
+    * engines against.
     */
   def groundTruth(tuples: Seq[Seq[String]], rows: Iterable[Map[Int, String]]): Long = {
     val normTuples = tuples.map(_.map(SuperKeyHash.normalize)).distinct
-    bestMappingCount(
-      for (row <- rows.iterator; (t, ti) <- normTuples.iterator.zipWithIndex) yield (ti, rowMappings(t, row)))
+    val score      = new TableScore
+    for (row <- rows; (t, ti) <- normTuples.zipWithIndex) rowMappings(t, row).foreach(score.add(ti, _))
+    score.j
   }
 }

@@ -111,14 +111,14 @@ object MateLocal {
         // straight to the next table (line 15) — the table cannot beat
         // j_k, so its partial candidates are discarded unverified.
         if (candidatePairs.nonEmpty && !skipped) {
-          val rows = fetchRows(tableId)
-          val j = Joinability.bestMappingCount(candidatePairs.flatMap { case (pl, tid, tuple) =>
-            rows.get(pl.rowId).map { rv =>
-              counters.rowsVerified += 1
-              counters.cellsCompared += rv.size
-              (tid, Joinability.rowMappings(tuple, rv))
-            }
-          })
+          val rows  = fetchRows(tableId)
+          val score = new Joinability.TableScore
+          for ((pl, tid, tuple) <- candidatePairs; rv <- rows.get(pl.rowId)) {
+            counters.rowsVerified += 1
+            counters.cellsCompared += rv.size
+            Joinability.rowMappings(tuple, rv).foreach(score.add(tid, _))
+          }
+          val j = score.j
           if (j > 0) {
             if (topK.size < k) topK.enqueue((tableId, j))
             else if (j > jk) { topK.dequeue(); topK.enqueue((tableId, j)) }

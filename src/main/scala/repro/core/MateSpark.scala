@@ -1,8 +1,6 @@
 package repro.core
 
-import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
-import scala.collection.mutable.ArrayBuffer
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
@@ -39,10 +37,11 @@ import repro.util.Bits
   *     partition first keeps, of its candidate rows, the tuple ids whose
   *     query super key the row's super key masks (`qsk ⊆ sk`, §6.3);
   *     then it reads its row values and verifies the surviving rows it
-  *     finds there: [[Joinability.rowMappings]] enumerates their pairs'
-  *     column mappings. One compact record per verified row comes back:
-  *     table, pairs, cells, and the matching tuple ids with their
-  *     mappings. SCR has no filter: its pass reads the row values alone
+  *     finds there: [[Joinability.forEachMapping]] enumerates their
+  *     pairs' column mappings on the row map's key and value arrays.
+  *     One compact record per verified row comes back: table, pairs,
+  *     cells, and flat arrays of the matching tuple ids with their
+  *     packed mappings. SCR has no filter: its pass reads the row values alone
   *     and verifies every candidate row. The survivors a partition does
   *     not find among its row values (''unseen survivors'') come back
   *     too, and SCR's pass verifies them. The relations
@@ -54,8 +53,8 @@ import repro.util.Bits
   *     super-key partition is paired with no values) the third job keeps
   *     the result exact, and each survivor is verified once.
   *  3. '''top-k''', on the driver — the records fold into [[Metrics]]
-  *     and, per table, into the best mapping's distinct-tuple count
-  *     ([[Joinability.bestMappingCount]]); the k best under
+  *     and, per table, into a [[Joinability.TableScore]], the best
+  *     mapping's distinct-tuple count; the k best under
   *     `(-j, tableId)` are returned.
   *
   * The sequential table-filter rules (Algorithm 1 lines 9/14) depend on
@@ -208,10 +207,10 @@ object MateSpark {
     }
   }
 
-  /** One verified row: table, pairs, cells, and the tuple ids the row
-    * matches with their mappings.
+  /** One verified row: table, pairs, cells, and per match the tuple id
+    * and its packed mapping (`ids(i)` under `mappings(i)`).
     */
-  private type Record = (Long, Int, Int, Seq[(Int, Seq[String])])
+  private type Record = (Long, Int, Int, Array[Int], Array[Long])
 
   private def fieldIndices(df: DataFrame, names: String*): Seq[Int] = names.map(df.schema.fieldIndex)
 
@@ -223,16 +222,17 @@ object MateSpark {
     if (rdd.getNumPartitions > cores) rdd.coalesce(cores) else rdd
   }
 
-  /** Exact verification of one row holding the query tuples `ids`: its
-    * value map (column `v` of `row`) is read and its pairs' mappings
-    * enumerated.
+  /** Exact verification of one row holding the query tuples `ids`: the
+    * key and value arrays of its value map (column `v` of `row`) are
+    * read and its pairs' mappings enumerated.
     */
   private def verifyRow(table: Long, row: InternalRow, v: Int, ids: Array[Int], tuples: Array[Array[String]]): Record = {
-    val m = row.getMap(v)
-    val (cols, values) = (m.keyArray(), m.valueArray())
-    val vals = (0 until m.numElements()).map(i => cols.getInt(i) -> values.getUTF8String(i).toString).toMap
-    val hits = ids.toSeq.map(i => (i, Joinability.rowMappings(ArraySeq.unsafeWrapArray(tuples(i)), vals))).filter(_._2.nonEmpty)
-    (table, ids.length, m.numElements(), hits)
+    val m    = row.getMap(v)
+    val cols = m.keyArray().toIntArray()
+    val vals = Array.tabulate(cols.length)(m.valueArray().getUTF8String(_).toString)
+    val (hitIds, hitMappings) = (Array.newBuilder[Int], Array.newBuilder[Long])
+    for (i <- ids) Joinability.forEachMapping(tuples(i), cols, vals) { mapping => hitIds += i; hitMappings += mapping }
+    (table, ids.length, cols.length, hitIds.result(), hitMappings.result())
   }
 
   /** Exact verification: one pass over the row values. Only the rows in
@@ -310,17 +310,15 @@ object MateSpark {
     }
 
     var verifiedPairs, tpRows, cellsCompared = 0L
-    val hitsByTable = mutable.Map.empty[Long, ArrayBuffer[(Int, Seq[String])]]
-    for ((table, pairs, cells, hits) <- records) {
+    val scores = mutable.LongMap.empty[Joinability.TableScore]
+    for ((table, pairs, cells, ids, mappings) <- records) {
       verifiedPairs += pairs
       cellsCompared += pairs.toLong * cells
-      if (hits.nonEmpty) {
-        tpRows += 1
-        hitsByTable.getOrElseUpdate(table, ArrayBuffer.empty) ++= hits
-      }
+      if (ids.nonEmpty) tpRows += 1
+      for (i <- ids.indices) scores.getOrElseUpdate(table, new Joinability.TableScore).add(ids(i), mappings(i))
     }
-    val topK = hitsByTable.iterator
-      .map { case (t, hits) => (t, Joinability.bestMappingCount(hits)) }
+    val topK = scores.iterator
+      .map { case (t, score) => (t, score.j) }
       .toSeq.sortBy { case (t, j) => (-j, t) }
       .take(k)
     val millis = (System.nanoTime() - t0) / 1000000

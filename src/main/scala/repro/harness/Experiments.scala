@@ -102,7 +102,18 @@ object Experiments {
     PreparedCorpus(corpus, pls, rowVals, queries, localRows, localPls)
   }
 
-  /** Time one sequential Algorithm-1 discovery (§6) in microseconds. */
+  /** Timed rounds of a measurement, after one untimed warm-up call; the
+    * median round is reported.
+    */
+  private val Rounds = 3
+
+  private def median(xs: Seq[Long]): Long = xs.sorted.apply(xs.size / 2)
+
+  private def nanos(f: => Any): Long = { val t0 = System.nanoTime(); f; System.nanoTime() - t0 }
+
+  /** Time one sequential Algorithm-1 discovery (§6) in microseconds: the
+    * median of [[Rounds]] runs after a warm-up run.
+    */
   def runLocal(
       pc: PreparedCorpus,
       set: String,
@@ -113,10 +124,9 @@ object Experiments {
     val pls = pc.localPls((set, q.id)).map { case (t, r, v) =>
       repro.core.MateLocal.PlItem(t, r, v, skMap.map(_((t, r))).getOrElse(empty))
     }
-    val t0 = System.nanoTime()
-    repro.core.MateLocal.discover(pls, q, hash,
-      t => pc.localRows.getOrElse(t, Map.empty), K)
-    (System.nanoTime() - t0) / 1000
+    def discover() = repro.core.MateLocal.discover(pls, q, hash, t => pc.localRows.getOrElse(t, Map.empty), K)
+    discover()
+    median(Seq.fill(Rounds)(nanos(discover()))) / 1000
   }
 
   /** Hash families the paper reports at 128/256/512 bits; MD5/Murmur/City
@@ -139,12 +149,8 @@ object Experiments {
       skMap: Option[Map[(Long, Long), Array[Byte]]] = None): GridResult = {
     val qs = pc.queries(set)
     val results = qs.map(MateSpark.run(spark, pc.pls, pc.rowVals, rowSk, hash, _, K))
-    // Sequential Algorithm 1 timing (the paper-comparable runtime); one
-    // warm-up run per set amortises JIT noise.
-    val localTimes = qs.map { q =>
-      runLocal(pc, set, q, hash, skMap)
-      runLocal(pc, set, q, hash, skMap)
-    }
+    // Sequential Algorithm 1 timing (the paper-comparable runtime).
+    val localTimes = qs.map(runLocal(pc, set, _, hash, skMap))
     val n = results.size.toDouble
     val ms = results.map(_.metrics)
     val tp = ms.map(_.tpRows.toDouble).sum
@@ -226,7 +232,10 @@ object Experiments {
   }
 
   /** Figure-4-shaped systems comparison: MATE+XASH vs SCR, MCR and the
-    * Josie adaptations, one row per query set.
+    * Josie adaptations, one row per query set. Each (system, query) gets
+    * one untimed warm-up call, which also counts its cells, and then
+    * [[Rounds]] timed calls, the systems' order rotated each round; a
+    * query's time is its median call.
     */
   final case class SystemResult(set: String, system: String, millis: Double, cellsCompared: Double)
 
@@ -240,14 +249,13 @@ object Experiments {
       "MCR"             -> (q => Mcr.run(spark, pc.pls, pc.rowVals, q, K).metrics),
       "SCR Josie"       -> (q => JosieLite.scrJosie(spark, pc.pls, pc.rowVals, q, K).metrics),
       "MCR Josie"       -> (q => JosieLite.mcrJosie(spark, pc.pls, pc.rowVals, q, K).metrics))
-    val out = for (set <- sets; (system, call) <- systems) yield {
-      val qs = pc.queries(set)
-      val rs = qs.map { q =>
-        val t0 = System.nanoTime()
-        val cells = call(q).cellsCompared
-        ((System.nanoTime() - t0) / 1000000, cells)
-      }
-      SystemResult(set, system, rs.map(_._1.toDouble).sum / qs.size, rs.map(_._2.toDouble).sum / qs.size)
+    val out = sets.flatMap { set =>
+      val qs    = pc.queries(set)
+      val cells = systems.map { case (_, call) => qs.map(call(_).cellsCompared.toDouble).sum / qs.size }
+      val order = (0 until Rounds).flatMap(r => systems.indices.map(i => (i + r) % systems.size))
+      val times = order.flatMap(s => qs.indices.map(qi => (s, qi) -> nanos(systems(s)._2(qs(qi))))).groupMap(_._1)(_._2)
+      for (((system, _), s) <- systems.zipWithIndex)
+        yield SystemResult(set, system, qs.indices.map(qi => median(times((s, qi))) / 1e6).sum / qs.size, cells(s))
     }
     sk.unpersist()
     out

@@ -34,11 +34,13 @@ trait SuperKeyHash extends Serializable {
 /** Shared helpers: value normalisation and 64-bit seeding primitives. */
 object SuperKeyHash {
 
-  /** Cell values are compared case-insensitively, as strings.
-    * `null` is treated as the empty string.
+  /** Cell values are compared case-insensitively, as strings: `trim`
+    * strips every char up to U+0020 and lower-casing ignores the default
+    * locale. `null` is treated as the empty string. The index applies
+    * this same function ([[repro.index.InvertedIndex]]).
     */
   def normalize(value: String): String =
-    if (value == null) "" else value.trim.toLowerCase
+    if (value == null) "" else value.trim.toLowerCase(java.util.Locale.ROOT)
 
   /** splitmix64 — cheap avalanche step used for seeding derived hashes. */
   def mix64(x0: Long): Long = {

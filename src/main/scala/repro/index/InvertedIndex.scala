@@ -1,6 +1,6 @@
 package repro.index
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Aggregator
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.Encoder
@@ -20,8 +20,9 @@ import repro.util.Bits
   *  2. the per-row super key is the bit-wise OR aggregation of those
   *     hashes (`groupBy(tableId, rowId)` + custom [[OrAgg]] UDAF).
   *
-  * Values are normalised (trim + lowercase) on the index side and on
-  * the query side, so joins match the paper's exact-value equality.
+  * Values are normalised by [[SuperKeyHash.normalize]] on the index
+  * side (as a UDF) and on the query side, so joins match the paper's
+  * exact-value equality.
   */
 object InvertedIndex {
 
@@ -35,10 +36,11 @@ object InvertedIndex {
     override def outputEncoder: Encoder[Array[Byte]] = Encoders.BINARY
   }
 
-  /** Normalisation as a Catalyst expression (mirror of
-    * [[SuperKeyHash.normalize]]).
+  /** [[SuperKeyHash.normalize]] as a UDF: the one definition the index
+    * and the queries share. A mirror in Catalyst expressions drifts from
+    * it; Catalyst's `trim`, for one, strips only U+0020.
     */
-  def normCol(c: Column): Column = lower(trim(coalesce(c, lit(""))))
+  private val normalize = udf((v: String) => SuperKeyHash.normalize(v)).asNonNullable()
 
   /** Posting lists without super keys: `(value, tableId, colId, rowId)`.
     * This is the plain single-attribute inverted index every baseline
@@ -47,7 +49,7 @@ object InvertedIndex {
     */
   def postingLists(cells: DataFrame): DataFrame =
     cells.select(
-      normCol(col("value")) as "value",
+      normalize(col("value")) as "value",
       col("tableId"), col("colId"), col("rowId"))
 
   /** Per-row value maps `(tableId, rowId, vals: map<colId,value>)` used
@@ -56,7 +58,7 @@ object InvertedIndex {
     */
   def rowValues(cells: DataFrame): DataFrame =
     cells.groupBy("tableId", "rowId")
-      .agg(map_from_entries(collect_list(struct(col("colId"), normCol(col("value"))))) as "vals")
+      .agg(map_from_entries(collect_list(struct(col("colId"), normalize(col("value"))))) as "vals")
 
   /** Per-row super keys `(tableId, rowId, sk)` for one hash function —
     * the XASH-per-cell UDF followed by the OR aggregation.

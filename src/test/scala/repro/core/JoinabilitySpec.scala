@@ -1,12 +1,18 @@
 package repro.core
 
 import repro.{Oracle, PropHelpers, SparkSpec}
+import repro.corpus.CorpusGen.{Cell, QueryTable}
+import repro.hash.Xash
+import repro.index.InvertedIndex
 
 class JoinabilitySpec extends SparkSpec with PropHelpers {
 
+  /** The packed mapping of query position i to column `cols(i)`. */
+  private def packed(cols: Int*): Long = cols.zipWithIndex.map { case (c, i) => c.toLong << (8 * i) }.sum
+
   test("rowMappings finds the single exact mapping") {
     val m = Joinability.rowMappings(Seq("a", "b"), Map(0 -> "a", 1 -> "b", 2 -> "c"))
-    assert(m == Seq("0:0|1:1"))
+    assert(m.toSeq == Seq(packed(0, 1)))
   }
 
   test("rowMappings requires every key value to appear") {
@@ -16,25 +22,43 @@ class JoinabilitySpec extends SparkSpec with PropHelpers {
   test("rowMappings is injective: a repeated key value needs two columns") {
     assert(Joinability.rowMappings(Seq("a", "a"), Map(0 -> "a", 1 -> "x")).isEmpty)
     val two = Joinability.rowMappings(Seq("a", "a"), Map(0 -> "a", 1 -> "a"))
-    assert(two.toSet == Set("0:0|1:1", "0:1|1:0"))
+    assert(two.toSet == Set(packed(0, 1), packed(1, 0)))
   }
 
   test("rowMappings enumerates all permutations of duplicated values") {
     val m = Joinability.rowMappings(Seq("a", "b"), Map(0 -> "a", 1 -> "b", 2 -> "a"))
-    assert(m.toSet == Set("0:0|1:1", "0:2|1:1"))
+    assert(m.toSet == Set(packed(0, 1), packed(2, 1)))
   }
 
-  test("rowMappings respects the enumeration cap") {
-    val row = (0 until 10).map(i => i -> "a").toMap
-    val capped = Joinability.rowMappings(Seq("a", "a"), row, cap = 7)
-    assert(capped.size == 7)
+  test("mappings pack up to 8 query columns and column ids up to 255; beyond that they fail") {
+    val cols = (248 until 256).toArray
+    assert(Joinability.mappings(Array.fill(8)("a"), cols, Array.fill(8)("a")).length == 40320) // 8!
+    assert(Joinability.mappings(Array("a", "b"), Array(255, 3), Array("b", "a")).toSeq == Seq(packed(3, 255)))
+    intercept[IllegalArgumentException](Joinability.mappings(Array.fill(9)("a"), (0 until 9).toArray, Array.fill(9)("a")))
+    intercept[IllegalArgumentException](Joinability.mappings(Array("a"), Array(256), Array("a")))
   }
 
-  test("rowJoinable is rowMappings non-emptiness") {
-    forAllSeeded(100) { rng =>
-      val row = (0 until 4).map(i => i -> randomWord(rng, 4)).toMap
-      val tuple = Seq(randomWord(rng, 4), randomWord(rng, 4))
-      assert(Joinability.rowJoinable(tuple, row) == Joinability.rowMappings(tuple, row).nonEmpty)
+  test("a row matching under 120 mappings counts in full: every engine and groundTruth score j = 2") {
+    import spark.implicits._
+    // (a,a,a) matches row 0 under 6·5·4 = 120 mappings; (b,b,b) matches
+    // row 1 only under the permutations of columns 3-5.
+    val rows = Map(
+      0L -> (0 until 6).map(_ -> "a").toMap,
+      1L -> Map(0 -> "x", 1 -> "y", 2 -> "z", 3 -> "b", 4 -> "b", 5 -> "b"))
+    val cells   = rows.toSeq.flatMap { case (r, vals) => vals.map { case (c, v) => Cell(0L, c, r, v) } }.toDS().toDF()
+    val q       = QueryTable("crafted", 0, Seq(Seq("a", "a", "a"), Seq("b", "b", "b")))
+    val xash    = Xash(128, 4)
+    val pls     = InvertedIndex.postingLists(cells)
+    val rowVals = InvertedIndex.rowValues(cells)
+    val rowSk   = InvertedIndex.rowSuperKeys(cells, xash)
+    val sks     = rowSk.collect().map(r => (r.getLong(0), r.getLong(1)) -> r.getAs[Array[Byte]]("sk")).toMap
+    val plItems = MateSpark.fetch(pls, q).toSeq.map { case (t, r, v) => MateLocal.PlItem(t, r, v, sks((t, r))) }
+    val expected = Seq((0L, 2L))
+    assert(Joinability.groundTruth(q.tuples, rows.values) == 2L)
+    for (h <- Seq(Some(xash), None)) {
+      val what = h.getOrElse("SCR").toString
+      assert(MateLocal.discover(plItems, q, h, t => if (t == 0L) rows else Map.empty, 10).topK == expected, what)
+      assert(MateSpark.run(spark, pls, rowVals, h.map(_ => rowSk), h, q, 10).topK == expected, what)
     }
   }
 

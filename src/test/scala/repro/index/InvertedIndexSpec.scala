@@ -3,6 +3,7 @@ package repro.index
 import org.apache.spark.sql.functions._
 import repro.{Fixtures, Oracle, SparkSpec}
 import repro.core.Joinability
+import repro.corpus.CorpusGen
 import repro.hash.{BloomHashes, SuperKeyHash, Xash}
 import repro.util.Bits
 
@@ -12,6 +13,28 @@ class InvertedIndexSpec extends SparkSpec {
     assert(Fixtures.pls.count() == Fixtures.corpus.cells.count())
     val raw = Fixtures.pls.select("value").limit(200).collect().map(_.getString(0))
     raw.foreach(v => assert(v == SuperKeyHash.normalize(v)))
+  }
+
+  test("posting lists and row values hold SuperKeyHash.normalize of any text") {
+    import spark.implicits._
+    val rng     = new scala.util.Random(7)
+    val special = "\u0000\t\n\u000b\f\r\u001f \u00a0\u2003ΣΑσςİIıÄ"
+    def char(): Char =
+      if (rng.nextBoolean()) special(rng.nextInt(special.length))
+      else Iterator.continually(rng.nextInt(0x10000).toChar).find(!_.isSurrogate).get
+    val values = Seq.fill(3000)(Seq.fill(1 + rng.nextInt(8))(char()).mkString)
+    val cells  = values.zipWithIndex.map { case (v, i) => CorpusGen.Cell(0L, i % 10, i / 10L, v) }.toDS().toDF()
+    val expected = values.zipWithIndex.map { case (v, i) => (i % 10, i / 10L) -> SuperKeyHash.normalize(v) }.toMap
+    val inPls = InvertedIndex.postingLists(cells).collect()
+      .map(r => (r.getAs[Int]("colId"), r.getAs[Long]("rowId")) -> r.getAs[String]("value")).toMap
+    val inVals = InvertedIndex.rowValues(cells).collect()
+      .flatMap(r => r.getMap[Int, String](r.fieldIndex("vals")).map { case (c, v) => (c, r.getAs[Long]("rowId")) -> v }).toMap
+    def show(v: String) = v.map(c => f"${c.toInt}%04x").mkString("[", " ", "]")
+    for ((name, got) <- Seq("posting lists" -> inPls, "row values" -> inVals)) {
+      val wrong = expected.toSeq.collect { case (cell, v) if !got.get(cell).contains(v) =>
+        s"$cell: ${got.get(cell).map(show)} != ${show(v)}" }
+      assert(wrong.isEmpty, s"$name: ${wrong.size} of ${expected.size} values differ, e.g. ${wrong.take(3)}")
+    }
   }
 
   test("posting-list counts per value match DuckDB GROUP BY (oracle)") {
@@ -51,7 +74,7 @@ class InvertedIndexSpec extends SparkSpec {
         tuple <- q.tuples.map(_.map(SuperKeyHash.normalize))
         (t, rows) <- Fixtures.localTables
         (r, vals) <- rows
-        if Joinability.rowJoinable(tuple, vals)
+        if Joinability.rowMappings(tuple, vals).nonEmpty
       } {
         checked += 1
         assert(Bits.subsetOf(hash.superKey(tuple), sk((t, r))),
