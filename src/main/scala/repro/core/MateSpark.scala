@@ -1,10 +1,13 @@
 package repro.core
 
+import java.nio.charset.StandardCharsets.UTF_8
+
 import scala.collection.mutable
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.util.{ArrayData, MapData}
 import org.apache.spark.sql.functions.broadcast
 import org.apache.spark.unsafe.types.UTF8String
 
@@ -22,41 +25,46 @@ import repro.util.Bits
   * `queryExecution.toRdd`, a lazy val that Spark plans once per
   * relation. A pass finds the relations' columns by name; the rows are
   * reused buffers, so it copies out each value it keeps while it reads
-  * the row. The candidate rows travel to the executors in the task
+  * the row. What a pass looks up travels to the executors in the task
   * closure as flat arrays, and a pass runs at most one task per core.
-  * MATE and SCR each cost two Spark jobs:
+  * [[run]] costs MATE and SCR one Spark job each:
   *
-  *  1. '''fetch''' ([[fetch]]), over the posting lists — the init column
-  *     is the one of minimum cardinality (§6.1); the posting-list items
-  *     holding a tuple's init value are collected to the driver, as the
-  *     paper fetches from Vertica, and paired with the tuples holding
-  *     that value. The paper excludes this step from runtimes (§7.2),
-  *     and so does [[run]].
-  *  2. '''row filtering and calculateJ''', one pass over the row super
-  *     keys zipped partition by partition with the row values — each
-  *     partition first keeps, of its candidate rows, the tuple ids whose
-  *     query super key the row's super key masks (`qsk ⊆ sk`, §6.3);
-  *     then it reads its row values and verifies the surviving rows it
-  *     finds there: [[Joinability.forEachMapping]] enumerates their
-  *     pairs' column mappings on the row map's key and value arrays.
-  *     One compact record per verified row comes back: table, pairs,
-  *     cells, and flat arrays of the matching tuple ids with their
-  *     packed mappings. SCR has no filter: its pass reads the row values alone
-  *     and verifies every candidate row. The survivors a partition does
-  *     not find among its row values (''unseen survivors'') come back
-  *     too, and SCR's pass verifies them. The relations
+  *  1. '''candidates, row filtering and calculateJ''', one pass over the
+  *     row values, zipped partition by partition with the row super keys
+  *     when there is a hash. The init column is the one of minimum
+  *     cardinality (§6.1). A row's value map holds every normalised cell
+  *     of the row, so its init-column posting-list items are exactly its
+  *     values among the query's init values: the pass looks each value
+  *     up, as the row map's own bytes, in a map of the init values, and
+  *     the row's candidate tuples are the distinct tuple ids of its hits.
+  *     A partition first drains its super keys into a map; a candidate
+  *     tuple is kept only if the row's super key masks its query super
+  *     key (`qsk ⊆ sk`, §6.3), and the survivors are verified in place:
+  *     [[Joinability.forEachMapping]] enumerates their column mappings
+  *     on the row map's key and value arrays. One compact record per
+  *     verified row comes back: table, pairs, cells, and flat arrays of
+  *     the matching tuple ids with their packed mappings. SCR has no
+  *     filter: its pass reads the row values alone and verifies every
+  *     candidate row.
+  *  2. '''the fallback''', for the candidate rows whose super key the
+  *     pass did not find in their partition. The relations
   *     [[repro.index.InvertedIndex]] builds hash-aggregate on
   *     `(tableId, rowId)` and keep that partitioning when cached, so for
-  *     them there are none and no third job runs. Their plans cannot
+  *     them there are none and no further job runs. Their plans cannot
   *     show this in advance; for any other relations (uncached,
-  *     repartitioned, or with a different partition count, when each
-  *     super-key partition is paired with no values) the third job keeps
-  *     the result exact, and each survivor is verified once.
+  *     repartitioned, or with a different partition count, when the row
+  *     values are read alone) those rows come back unmasked, and the
+  *     candidate-driven passes [[discover]] runs finish them exactly: one
+  *     over the super keys zipped with the row values masks them and
+  *     verifies the survivors it finds there, and SCR's candidate pass
+  *     verifies the rest.
   *  3. '''top-k''', on the driver — the records fold into [[Metrics]]
   *     and, per table, into a [[Joinability.TableScore]], the best
   *     mapping's distinct-tuple count; the k best under
   *     `(-j, tableId)` are returned.
   *
+  * [[fetch]] and [[fetchAll]] return the init-column posting-list items
+  * themselves, the input of the sequential Algorithm 1 ([[MateLocal]]).
   * The sequential table-filter rules (Algorithm 1 lines 9/14) depend on
   * the scan order; the dataflow evaluates every candidate table, and the
   * faithful sequential rules live in [[MateLocal]].
@@ -103,8 +111,8 @@ object MateSpark {
 
   /** Candidate (row × query-tuple) pairs from the init-column posting
     * lists as a join, the input of [[discover]]; the same pairs [[run]]
-    * derives from [[fetch]]. One pair per corpus row containing the
-    * tuple's init value in any column (the mapping is unknown, §2).
+    * finds in its pass. One pair per corpus row containing the tuple's
+    * init value in any column (the mapping is unknown, §2).
     */
   def candidates(postingLists: DataFrame, queryDf: DataFrame): DataFrame = {
     val q = broadcast(queryDf)
@@ -147,26 +155,50 @@ object MateSpark {
       val qsk = querySk.select("qTupleId", "qsk").collect().map(r => r.getInt(0) -> r.getAs[Array[Byte]](1)).toMap
       (rowSk, qIds.map(qsk))
     }
-    verify(pairs, qIds.map(tuples(_).toArray), rowVals, masks, k, t0)
+    val records = verifyCandidates(Rows(pairs.groupMap(p => (p._1, p._2))(_._3)), qIds.map(tuples(_).toArray), rowVals, masks)
+    result(records, pairs.length, masks.isDefined, k, t0)
+  }
+
+  /** The normalised init-column values of `q`'s tuples, tuple `i`'s at `i`. */
+  private def initValues(q: QueryTable): Seq[String] = {
+    val initCol = InitColumn.byCardinality(q.rows)
+    normTuples(q).map(_(initCol))
   }
 
   /** The fetch phase: the distinct init-column posting-list items
-    * `(tableId, rowId, initValue)` of `q`, in one pass over the posting
-    * lists that keeps the items holding an init value.
+    * `(tableId, rowId, initValue)` of `q`, in posting-list order.
     */
-  def fetch(postingLists: DataFrame, q: QueryTable): Array[(Long, Long, String)] = {
-    val initCol = InitColumn.byCardinality(q.rows)
-    val wanted  = normTuples(q).map(t => UTF8String.fromString(t(initCol))).toSet
+  def fetch(postingLists: DataFrame, q: QueryTable): Array[(Long, Long, String)] =
+    fetchAll(postingLists, Seq(q)).head
+
+  /** [[fetch]] for many queries in one pass over the posting lists, which
+    * keeps the items holding any query's init value: query `i`'s items
+    * are at `i`.
+    */
+  def fetchAll(postingLists: DataFrame, queries: Seq[QueryTable]): IndexedSeq[Array[(Long, Long, String)]] = {
+    val wanted = ValueIds(queries.zipWithIndex.flatMap { case (q, i) => initValues(q).distinct.map(_ -> i) })
     val Seq(v, t, r) = fieldIndices(postingLists, "value", "tableId", "rowId")
-    postingLists.queryExecution.toRdd
-      .mapPartitions(_.collect { case row if wanted(row.getUTF8String(v)) =>
-        (row.getLong(t), row.getLong(r), row.getUTF8String(v).toString) })
-      .collect().distinct
+    val items = postingLists.queryExecution.toRdd.mapPartitions { rows =>
+      val at = wanted.index
+      rows.flatMap { row =>
+        val x = at.getOrElse(row.getUTF8String(v), -1)
+        if (x < 0) None else Some((row.getLong(t), row.getLong(r), x))
+      }
+    }.collect()
+    val values  = wanted.values.map(new String(_, UTF_8))
+    val byQuery = IndexedSeq.fill(queries.size)(Array.newBuilder[(Long, Long, String)])
+    for ((table, row, x) <- items; i <- wanted.idsOf(x)) byQuery(i) += ((table, row, values(x)))
+    byQuery.map(_.result().distinct)
   }
 
-  /** End-to-end: fetch + filter + verify + top-k for one query table.
-    * The driver pairs each fetched item with the tuples holding its
-    * value. `millis` covers the steps after the fetch (§7.2).
+  /** End-to-end: candidates + filter + verify + top-k for one query
+    * table, one Spark job over the row relations (see above). `millis`
+    * covers all of it, finding the candidates included; the paper's
+    * runtimes exclude its fetch (§7.2), so [[MateLocal]]'s remain the
+    * paper-comparable ones.
+    *
+    * `spark` and `postingLists` are not read: the row values hold every
+    * posting-list item the query needs.
     */
   def run(
       spark: SparkSession,
@@ -176,13 +208,14 @@ object MateSpark {
       hash: Option[SuperKeyHash],
       q: QueryTable,
       k: Int): Result = {
-    val tuples  = normTuples(q)
-    val initCol = InitColumn.byCardinality(q.rows)
-    val byInit  = tuples.indices.groupBy(tuples(_)(initCol))
-    val pairs   = fetch(postingLists, q).flatMap { case (t, r, v) => byInit(v).map((t, r, _)) }
-    val t0 = System.nanoTime()
-    val masks = for (sk <- rowSk; h <- hash) yield (sk, tuples.map(h.superKey).toArray)
-    verify(pairs, tuples.map(_.toArray).toArray, rowVals, masks, k, t0)
+    val t0     = System.nanoTime()
+    val tuples = normTuples(q)
+    val init   = ValueIds(initValues(q).zipWithIndex)
+    val masks  = for (sk <- rowSk; h <- hash) yield (sk, tuples.map(h.superKey).toArray)
+    val arrays = tuples.map(_.toArray).toArray
+    val (found, candidatePairs, unseen) = findAndVerify(rowVals, masks, init, arrays)
+    val records = if (unseen.tables.isEmpty) found else found ++ verifyCandidates(unseen, arrays, rowVals, masks)
+    result(records, candidatePairs, masks.isDefined, k, t0)
   }
 
   /** Candidate or surviving rows as flat arrays: row `i` is
@@ -207,6 +240,29 @@ object MateSpark {
     }
   }
 
+  /** Distinct values with the ids that hold them, as flat arrays: value
+    * `i` is the UTF-8 string `values(i)`, held by
+    * `ids(offsets(i) until offsets(i + 1))`. Each task builds the
+    * [[index]] once and looks the row values up in it as they are
+    * stored, without decoding them.
+    */
+  private final case class ValueIds(values: Array[Array[Byte]], offsets: Array[Int], ids: Array[Int]) {
+    def idsOf(i: Int): Array[Int] = ids.slice(offsets(i), offsets(i + 1))
+
+    def index: mutable.HashMap[UTF8String, Int] = {
+      val m = new mutable.HashMap[UTF8String, Int](values.length, mutable.HashMap.defaultLoadFactor)
+      for (i <- values.indices) m(UTF8String.fromBytes(values(i))) = i
+      m
+    }
+  }
+
+  private object ValueIds {
+    def apply(valueIds: Seq[(String, Int)]): ValueIds = {
+      val all = valueIds.groupMap(_._1)(_._2).toArray
+      ValueIds(all.map(_._1.getBytes(UTF_8)), all.map(_._2.length).scanLeft(0)(_ + _), all.flatMap(_._2))
+    }
+  }
+
   /** One verified row: table, pairs, cells, and per match the tuple id
     * and its packed mapping (`ids(i)` under `mappings(i)`).
     */
@@ -222,17 +278,79 @@ object MateSpark {
     if (rdd.getNumPartitions > cores) rdd.coalesce(cores) else rdd
   }
 
-  /** Exact verification of one row holding the query tuples `ids`: the
-    * key and value arrays of its value map (column `v` of `row`) are
+  /** Exact verification of the row `table` with the value map `m`,
+    * holding the query tuples `ids`: the map's key and value arrays are
     * read and its pairs' mappings enumerated.
     */
-  private def verifyRow(table: Long, row: InternalRow, v: Int, ids: Array[Int], tuples: Array[Array[String]]): Record = {
-    val m    = row.getMap(v)
+  private def verifyRow(table: Long, m: MapData, ids: Array[Int], tuples: Array[Array[String]]): Record = {
     val cols = m.keyArray().toIntArray()
     val vals = Array.tabulate(cols.length)(m.valueArray().getUTF8String(_).toString)
     val (hitIds, hitMappings) = (Array.newBuilder[Int], Array.newBuilder[Long])
     for (i <- ids) Joinability.forEachMapping(tuples(i), cols, vals) { mapping => hitIds += i; hitMappings += mapping }
     (table, ids.length, cols.length, hitIds.result(), hitMappings.result())
+  }
+
+  /** The ids `init` holds for the distinct values of `vals`, the value
+    * array of a row map; `at` is `init.index`.
+    */
+  private def candidateIds(vals: ArrayData, at: mutable.HashMap[UTF8String, Int], init: ValueIds): Array[Int] = {
+    var hits = List.empty[Int]
+    var c    = 0
+    while (c < vals.numElements()) {
+      val x = at.getOrElse(vals.getUTF8String(c), -1)
+      if (x >= 0 && !hits.contains(x)) hits = x :: hits
+      c += 1
+    }
+    if (hits.isEmpty) Array.emptyIntArray else hits.toArray.flatMap(init.idsOf)
+  }
+
+  /** Candidates, row filter and verification in one pass over the row
+    * values, zipped with the row super keys when `masks` is set and the
+    * two have as many partitions. Returns the records, the number of
+    * candidate pairs, and the candidate rows whose super key the pass did
+    * not find in their partition, unmasked.
+    */
+  private def findAndVerify(
+      rowVals: DataFrame,
+      masks: Option[(DataFrame, Array[Array[Byte]])],
+      init: ValueIds,
+      tuples: Array[Array[String]]): (Array[Record], Long, Rows) = {
+    val Seq(vt, vr, v) = fieldIndices(rowVals, "tableId", "rowId", "vals")
+    val skFields       = masks.map { case (rowSk, _) => fieldIndices(rowSk, "tableId", "rowId", "sk") }
+    val qsk            = masks.map(_._2)
+    def pass(sks: Iterator[InternalRow], vals: Iterator[InternalRow]): Iterator[(Array[Record], Long, Array[((Long, Long), Array[Int])])] = {
+      val skOf = mutable.HashMap.empty[(Long, Long), Array[Byte]]
+      for (Seq(st, sr, s) <- skFields; row <- sks) skOf((row.getLong(st), row.getLong(sr))) = row.getBinary(s)
+      val at      = init.index
+      val records = Array.newBuilder[Record]
+      val unseen  = Array.newBuilder[((Long, Long), Array[Int])]
+      var pairs   = 0L
+      for (row <- vals) {
+        val m   = row.getMap(v)
+        val ids = candidateIds(m.valueArray(), at, init)
+        if (ids.nonEmpty) {
+          pairs += ids.length
+          val table = row.getLong(vt)
+          qsk match {
+            case None => records += verifyRow(table, m, ids, tuples)
+            case Some(q) =>
+              val key = (table, row.getLong(vr))
+              skOf.get(key) match {
+                case Some(sk) =>
+                  val kept = ids.filter(id => Bits.subsetOf(q(id), sk))
+                  if (kept.nonEmpty) records += verifyRow(table, m, kept, tuples)
+                case None => unseen += key -> ids
+              }
+          }
+        }
+      }
+      Iterator.single((records.result(), pairs, unseen.result()))
+    }
+    val vals   = rowVals.queryExecution.toRdd
+    val sks    = masks.map(_._1.queryExecution.toRdd).filter(_.getNumPartitions == vals.getNumPartitions)
+    val passes = sks.fold(vals.mapPartitions(pass(Iterator.empty, _)))(_.zipPartitions(vals)(pass))
+    val parts  = perCore(passes).collect()
+    (parts.flatMap(_._1), parts.iterator.map(_._2).sum, Rows(parts.iterator.flatMap(_._3)))
   }
 
   /** Exact verification: one pass over the row values. Only the rows in
@@ -244,17 +362,18 @@ object MateSpark {
       val at = cand.index
       rows.flatMap { row =>
         val table = row.getLong(t)
-        at.get((table, row.getLong(r))).map(i => verifyRow(table, row, v, cand.idsOf(i), tuples))
+        at.get((table, row.getLong(r))).map(i => verifyRow(table, row.getMap(v), cand.idsOf(i), tuples))
       }
     }).collect()
   }
 
-  /** Row filter and verification: one pass over the row super keys
-    * zipped with the row values. A partition drains its super keys
-    * first: a candidate row keeps the tuple ids whose query super key
-    * its own masks, one subset test per candidate pair (§6.3's "single
-    * operation"). Then it verifies the surviving rows it finds among
-    * its row values. Returns the records and the unseen survivors.
+  /** Row filter and verification of the candidate rows `cand`: one pass
+    * over the row super keys zipped with the row values. A partition
+    * drains its super keys first: a candidate row keeps the tuple ids
+    * whose query super key its own masks, one subset test per candidate
+    * pair (§6.3's "single operation"). Then it verifies the surviving
+    * rows it finds among its row values. Returns the records and the
+    * unseen survivors.
     */
   private def filterAndVerify(
       rowSk: DataFrame,
@@ -277,7 +396,7 @@ object MateSpark {
       }
       val records = vals.flatMap { row =>
         val key = (row.getLong(vt), row.getLong(vr))
-        kept.remove(key).map(verifyRow(key._1, row, v, _, tuples))
+        kept.remove(key).map(verifyRow(key._1, row.getMap(v), _, tuples))
       }.toArray
       Iterator.single((records, kept.toArray))
     }
@@ -289,26 +408,27 @@ object MateSpark {
     (parts.flatMap(_._1), Rows(parts.iterator.flatMap(_._2)))
   }
 
-  /** Row filter, verification and the driver-side fold of the distinct
-    * candidate `pairs` `(tableId, rowId, i)` of the query `tuples`, `i`
-    * indexing `tuples`. `masks` holds the row super keys and each query
-    * tuple's super key.
+  /** Row filter and verification of the candidate rows `cand`: with
+    * `masks` (the row super keys and each query tuple's super key)
+    * [[filterAndVerify]], then SCR's [[verifyRows]] for the survivors it
+    * did not find; without, [[verifyRows]] alone.
     */
-  private def verify(
-      pairs: Array[(Long, Long, Int)],
+  private def verifyCandidates(
+      cand: Rows,
       tuples: Array[Array[String]],
       rowVals: DataFrame,
-      masks: Option[(DataFrame, Array[Array[Byte]])],
-      k: Int,
-      t0: Long): Result = {
-    val cand    = Rows(pairs.groupMap(p => (p._1, p._2))(_._3))
-    val records = masks match {
-      case None => verifyRows(rowVals, cand, tuples)
-      case Some((rowSk, qsk)) =>
-        val (seen, unseen) = filterAndVerify(rowSk, rowVals, cand, qsk, tuples)
-        if (unseen.tables.isEmpty) seen else seen ++ verifyRows(rowVals, unseen, tuples)
-    }
+      masks: Option[(DataFrame, Array[Array[Byte]])]): Array[Record] = masks match {
+    case None => verifyRows(rowVals, cand, tuples)
+    case Some((rowSk, qsk)) =>
+      val (seen, unseen) = filterAndVerify(rowSk, rowVals, cand, qsk, tuples)
+      if (unseen.tables.isEmpty) seen else seen ++ verifyRows(rowVals, unseen, tuples)
+  }
 
+  /** The driver-side fold of the verified `records` of `candidatePairs`
+    * candidate pairs, each masked once if `masked`: [[Metrics]] and the
+    * top-k.
+    */
+  private def result(records: Array[Record], candidatePairs: Long, masked: Boolean, k: Int, t0: Long): Result = {
     var verifiedPairs, tpRows, cellsCompared = 0L
     val scores = mutable.LongMap.empty[Joinability.TableScore]
     for ((table, pairs, cells, ids, mappings) <- records) {
@@ -325,8 +445,8 @@ object MateSpark {
 
     val rows = records.length.toLong
     Result(topK, Metrics(
-      candidatePairs = pairs.length,
-      maskChecks = if (masks.isDefined) pairs.length else 0L,
+      candidatePairs = candidatePairs,
+      maskChecks = if (masked) candidatePairs else 0L,
       verifiedPairs = verifiedPairs,
       rowsChecked = rows,
       tpRows = tpRows,

@@ -16,9 +16,10 @@ import repro.index.InvertedIndex
   * for each corpus substitution. k = 10 and the 128-bit default hash
   * space follow §7.1.
   *
-  * Runtimes exclude the posting-list fetch, as the paper does (§7.2):
-  * [[MateSpark.run]] starts its clock after its fetch, and the
-  * sequential Algorithm 1 runs on posting lists fetched in [[prepare]].
+  * The paper-comparable runtimes exclude the posting-list fetch, as the
+  * paper does (§7.2): the sequential Algorithm 1 runs on posting lists
+  * fetched in [[prepare]]. [[MateSpark.run]] finds its candidates inside
+  * its one pass, so its `millis` include that step.
   * Deterministic work counters (cells compared in exact verification)
   * are recorded next to wall-clock because the simulator's absolute
   * times are not the paper's server's (DESIGN.md §6).
@@ -54,7 +55,7 @@ object Experiments {
     *
     * `localRows` / `localPls` are the driver-side copies the sequential
     * Algorithm 1 runs on: every row's values, and each query's
-    * init-column posting-list items ([[MateSpark.fetch]]) — mirroring
+    * init-column posting-list items ([[MateSpark.fetchAll]]) — mirroring
     * the paper's architecture, where the Vertica index is queried once
     * and the top-k loop is a single-node computation whose runtime
     * Table 2 reports.
@@ -92,13 +93,15 @@ object Experiments {
     val queries = corpus.querySets.map(qs => qs.name -> qs.queries).toMap
 
     // Driver-side copies for the sequential Algorithm 1 (fetch phase,
-    // excluded from measured runtime as in §7.2).
+    // excluded from measured runtime as in §7.2): one fetch job for all
+    // of the corpus's queries.
     val localRows: Map[Long, Map[Long, Map[Int, String]]] = rowVals.collect()
       .groupBy(_.getLong(0))
       .map { case (t, rs) =>
         t -> rs.map(r => r.getLong(1) -> r.getMap[Int, String](2).toMap).toMap
       }
-    val localPls = for ((set, qs) <- queries; q <- qs) yield (set, q.id) -> MateSpark.fetch(pls, q).toSeq
+    val keyed    = queries.toSeq.flatMap { case (set, qs) => qs.map(q => (set, q.id) -> q) }
+    val localPls = keyed.map(_._1).zip(MateSpark.fetchAll(pls, keyed.map(_._2)).map(_.toSeq)).toMap
     PreparedCorpus(corpus, pls, rowVals, queries, localRows, localPls)
   }
 
@@ -299,7 +302,8 @@ object Experiments {
   def table2(grid: Seq[GridResult]): String = Seq[(String, GridResult => Double)](
     "Table 2 (reproduced): sequential Algorithm-1 runtime, µs (paper-comparable)" -> (_.localMicros),
     "Table 2 (reproduced): cells compared in exact verification" -> (_.cellsCompared),
-    "Table 2 (informational): distributed dataflow wall-clock ms (Spark job overhead dominates at this scale)" -> (_.millis))
+    "Table 2 (informational): distributed dataflow wall-clock ms, finding the candidates included " +
+      "(§7.2 excludes the fetch, so the sequential µs are the paper-comparable runtime)" -> (_.millis))
     .map { case (title, metric) => gridSection(title, grid, table2Configs, r => f"${metric(r)}%.0f", Nil) }.mkString("\n")
 
   def table3(grid: Seq[GridResult]): String =
@@ -319,7 +323,7 @@ object Experiments {
 
   def systemsTable(results: Seq[SystemResult]): String =
     section("Systems comparison (Figure 4 shape)",
-      Seq("Query set", "System", "ms (incl. fetch)", "Cells compared"),
+      Seq("Query set", "System", "ms (end to end)", "Cells compared"),
       results.map(r => Seq(r.set, r.system, f"${r.millis}%.0f", f"${r.cellsCompared}%.0f")))
 
   def formatTable(header: Seq[String], rows: Seq[Seq[String]]): String = {

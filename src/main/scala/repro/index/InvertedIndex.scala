@@ -54,11 +54,14 @@ object InvertedIndex {
 
   /** Per-row value maps `(tableId, rowId, vals: map<colId,value>)` used
     * by the exact verification step (calculateJ fetches actual cell
-    * values, §6).
+    * values, §6), and by the dataflow to find each row's candidates.
+    * They aggregate the [[postingLists]] projection, so when the posting
+    * lists are cached first Spark reads the cache and each cell is
+    * normalised once.
     */
   def rowValues(cells: DataFrame): DataFrame =
-    cells.groupBy("tableId", "rowId")
-      .agg(map_from_entries(collect_list(struct(col("colId"), normalize(col("value"))))) as "vals")
+    postingLists(cells).groupBy("tableId", "rowId")
+      .agg(map_from_entries(collect_list(struct(col("colId"), col("value")))) as "vals")
 
   /** Per-row super keys `(tableId, rowId, sk)` for one hash function —
     * the XASH-per-cell UDF followed by the OR aggregation.

@@ -2,25 +2,31 @@ package org.apache.spark
 
 import java.util.concurrent.atomic.AtomicInteger
 
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskStart}
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.execution.QueryExecution
 import org.apache.spark.sql.util.QueryExecutionListener
 
-/** Counts the Spark jobs a block of code launches. Lives in Spark's
-  * package to drain the listener bus, so every job-start event of the
-  * block, and none from before it, has reached the counter.
+/** Counts the Spark jobs a block of code launches, and their tasks.
+  * Lives in Spark's package to drain the listener bus, so every event of
+  * the block, and none from before it, has reached the counter.
   */
 object SparkJobCounter {
-  def apply[A](spark: SparkSession)(body: => A): (A, Int) =
-    ListenerCount(spark) { n =>
+  final case class Counts(jobs: Int, tasks: Int)
+
+  def apply[A](spark: SparkSession)(body: => A): (A, Counts) = {
+    val tasks = new AtomicInteger
+    val (out, jobs) = ListenerCount(spark) { n =>
       val sc = spark.sparkContext
       val listener = new SparkListener {
         override def onJobStart(e: SparkListenerJobStart): Unit = n.incrementAndGet()
+        override def onTaskStart(e: SparkListenerTaskStart): Unit = tasks.incrementAndGet()
       }
       sc.addSparkListener(listener)
       () => sc.removeSparkListener(listener)
     }(body)
+    (out, Counts(jobs, tasks.get))
+  }
 }
 
 /** Counts the SQL query executions (DataFrame actions, successful or

@@ -3,9 +3,10 @@ package repro.core
 import org.apache.spark.{SparkJobCounter, SqlExecutionCounter}
 import org.apache.spark.storage.StorageLevel
 import repro.{Fixtures, Oracle, SparkSpec}
-import repro.corpus.CorpusGen.QueryTable
+import repro.corpus.CorpusGen.{Cell, QueryTable}
 import repro.hash.{BloomHashes, Hashes, StandardHashes, SuperKeyHash, Xash}
 import repro.index.InvertedIndex
+import repro.util.Bits
 
 class MateSparkSpec extends SparkSpec {
 
@@ -131,13 +132,24 @@ class MateSparkSpec extends SparkSpec {
     }
   }
 
-  test("one MateSpark.run launches exactly 2 Spark jobs, with and without a hash") {
-    val q = Fixtures.queries3.head
+  test("one MateSpark.run launches exactly 1 Spark job, with and without a hash") {
+    val q     = Fixtures.queries3.head
+    val cores = spark.sparkContext.defaultParallelism
     for (h <- Seq(Some(Xash(128, 4)), None)) {
       runWith(q, h) // materialises the cached index parts the query reads
-      val (_, jobs) = SparkJobCounter(spark)(runWith(q, h))
-      assert(jobs == 2, s"${h.getOrElse("SCR")}: $jobs Spark jobs")
+      val (_, counts) = SparkJobCounter(spark)(runWith(q, h))
+      assert(counts.jobs == 1, s"${h.getOrElse("SCR")}: ${counts.jobs} Spark jobs")
+      // and that job runs at most one task per core
+      assert(counts.tasks >= 1 && counts.tasks <= cores, s"${h.getOrElse("SCR")}: ${counts.tasks} tasks on $cores cores")
     }
+  }
+
+  test("fetchAll fetches every query's items in one Spark job, as fetch does per query") {
+    val (all, counts) = SparkJobCounter(spark)(MateSpark.fetchAll(Fixtures.pls, Fixtures.allQueries))
+    assert(counts.jobs == 1)
+    assert(all.size == Fixtures.allQueries.size)
+    for ((q, items) <- Fixtures.allQueries.zip(all))
+      assert(items.toSeq == MateSpark.fetch(Fixtures.pls, q).toSeq, s"query ${q.set}/${q.id}")
   }
 
   test("one MateSpark.run plans no SQL query, with and without a hash") {
@@ -165,8 +177,12 @@ class MateSparkSpec extends SparkSpec {
       val n         = Fixtures.rowVals.queryExecution.toRdd.getNumPartitions
       val scattered = (Fixtures.pls, Fixtures.rowVals.repartition(n), h.map(Fixtures.rowSk))
       for (df <- scattered._2 +: scattered._3.toSeq) assert(df.queryExecution.toRdd.getNumPartitions == n)
+      // row super keys in more partitions than the row values, so the pass reads the values alone
+      val mismatched = (Fixtures.pls, Fixtures.rowVals, h.map(Fixtures.rowSk(_).repartition(n + 1)))
+      for (df <- mismatched._3) assert(df.queryExecution.toRdd.getNumPartitions != n)
       for (q <- Fixtures.allQueries;
-           (how, (pls, rowVals, rowSk)) <- Seq("reordered" -> reordered, "uncached" -> uncached, "scattered" -> scattered)) {
+           (how, (pls, rowVals, rowSk)) <- Seq("reordered" -> reordered, "uncached" -> uncached,
+             "scattered" -> scattered, "mismatched" -> mismatched)) {
         val what     = s"query ${q.set}/${q.id} ${h.getOrElse("SCR")} $how"
         val expected = runWith(q, h)
         val r        = MateSpark.run(spark, pls, rowVals, rowSk, h, q, k)
@@ -196,6 +212,46 @@ class MateSparkSpec extends SparkSpec {
       assert(run.metrics.copy(millis = 0) == disc.metrics.copy(millis = 0), what)
       assert(local.topK == run.topK, what)
     }
+  }
+
+  test("run finds each (row, tuple) candidate pair once: the pairs of fetch, and Algorithm 1's top-k") {
+    import spark.implicits._
+    // t0 r0 holds init value "a" twice; t1's rows hold the init values of
+    // both tuples; t2 r1 holds "a" without "x" (a false positive for q2).
+    val rows = Seq(
+      (0L, 0L, Seq("a", "x", "a")), (0L, 1L, Seq("b", "y", "q")),
+      (1L, 0L, Seq("a", "b", "x", "y")), (1L, 1L, Seq("b", "a", "y", "x")),
+      (2L, 0L, Seq("z", "z", "z")), (2L, 1L, Seq("a", "q", "q")))
+    val cells   = rows.flatMap { case (t, r, vs) => vs.zipWithIndex.map { case (v, c) => Cell(t, c, r, v) } }.toDS().toDF()
+    val local   = rows.groupMap(_._1) { case (_, r, vs) => r -> vs.indices.zip(vs).toMap }.view.mapValues(_.toMap).toMap
+    val pls     = InvertedIndex.postingLists(cells).cache()
+    val rowVals = InvertedIndex.rowValues(cells).cache()
+    val xash    = Xash(128, 4)
+    val rowSk   = InvertedIndex.rowSuperKeys(cells, xash).cache()
+    val sks     = rowSk.collect().map(r => (r.getLong(0), r.getLong(1)) -> r.getAs[Array[Byte]]("sk")).toMap
+    val q2 = QueryTable("crafted", 0, Seq(Seq("a", "x"), Seq("b", "y")))
+    val q1 = QueryTable("crafted", 1, Seq(Seq("a")))
+    for ((q, pairCount, expected) <- Seq(
+           (q2, 7, Seq((0L, 2L), (1L, 2L))),
+           (q1, 4, Seq((0L, 1L), (1L, 1L), (2L, 1L))));
+         h <- Seq(Some(xash), None)) {
+      val what    = s"|Q| = ${q.qSize} ${h.getOrElse("SCR")}"
+      val tuples  = q.tuples.map(_.map(SuperKeyHash.normalize))
+      val initCol = InitColumn.byCardinality(q.rows)
+      val items   = MateSpark.fetch(pls, q)
+      val pairs   = items.toSeq.flatMap { case (t, r, v) => tuples.indices.filter(tuples(_)(initCol) == v).map((t, r, _)) }
+      val masked  = pairs.filter { case (t, r, i) => h.forall(x => Bits.subsetOf(x.superKey(tuples(i)), sks((t, r)))) }
+      val plItems = items.toSeq.map { case (t, r, v) => MateLocal.PlItem(t, r, v, sks((t, r))) }
+      val seq     = MateLocal.discover(plItems, q, h, local.getOrElse(_, Map.empty), k, useTableFilter = false)
+      val r       = MateSpark.run(spark, pls, rowVals, h.map(_ => rowSk), h, q, k)
+      assert(pairs.distinct.size == pairCount, what)
+      assert(r.metrics.candidatePairs == pairCount, what)
+      assert(r.metrics.verifiedPairs == masked.size, what)
+      assert(seq.counters.rowsPassedFilter == masked.size, what)
+      assert(r.topK == expected, what)
+      assert(seq.topK == expected, what)
+    }
+    Seq(pls, rowVals, rowSk).foreach(_.unpersist())
   }
 
   private val zero = MateSpark.Metrics(0, 0, 0, 0, 0, 0, 0, 0)

@@ -1,6 +1,9 @@
 package repro.index
 
+import org.apache.spark.sql.catalyst.expressions.ScalaUDF
+import org.apache.spark.sql.execution.columnar.InMemoryRelation
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{IntegerType, LongType, MapType, StringType, StructField, StructType}
 import repro.{Fixtures, Oracle, SparkSpec}
 import repro.core.Joinability
 import repro.corpus.CorpusGen
@@ -35,6 +38,26 @@ class InvertedIndexSpec extends SparkSpec {
         s"$cell: ${got.get(cell).map(show)} != ${show(v)}" }
       assert(wrong.isEmpty, s"$name: ${wrong.size} of ${expected.size} values differ, e.g. ${wrong.take(3)}")
     }
+  }
+
+  test("posting lists and row values have fixed schemas, nullability included") {
+    val pls = StructType(Seq(StructField("value", StringType, nullable = false), StructField("tableId", LongType, nullable = false),
+      StructField("colId", IntegerType, nullable = false), StructField("rowId", LongType, nullable = false)))
+    val vals = StructType(Seq(StructField("tableId", LongType, nullable = false), StructField("rowId", LongType, nullable = false),
+      StructField("vals", MapType(IntegerType, StringType, valueContainsNull = false), nullable = false)))
+    for ((name, df, expected) <- Seq(("posting lists", Fixtures.pls, pls), ("row values", Fixtures.rowVals, vals),
+                                     ("uncached row values", InvertedIndex.rowValues(Fixtures.corpus.cells), vals)))
+      assert(df.schema == expected, s"$name: ${df.schema.treeString}")
+  }
+
+  test("row values built after the posting lists are cached read the cache: no cell is normalised twice") {
+    // a new source plan, so no relation cached by another test matches it
+    val cells = spark.createDataFrame(Fixtures.corpus.cells.rdd, Fixtures.corpus.cells.schema)
+    val pls   = InvertedIndex.postingLists(cells).cache()
+    val plan  = InvertedIndex.rowValues(cells).queryExecution.optimizedPlan
+    assert(plan.exists(_.isInstanceOf[InMemoryRelation]), plan.treeString)
+    assert(!plan.exists(_.expressions.exists(_.exists(_.isInstanceOf[ScalaUDF]))), plan.treeString)
+    pls.unpersist()
   }
 
   test("posting-list counts per value match DuckDB GROUP BY (oracle)") {
