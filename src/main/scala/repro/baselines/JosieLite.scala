@@ -50,8 +50,8 @@ object JosieLite {
       candidateFactor: Int = 5): Result = {
     val initCol = InitColumn.byCardinality(q.rows)
     val values  = q.tuples.map(t => SuperKeyHash.normalize(t(initCol)))
-    val tables  = topTablesByOverlap(postingLists, values, candidateFactor * k)
-    restrictedScr(spark, postingLists, rowVals, q, k, tables, values.size.toLong)
+    val tables  = tableIds(topTablesByOverlap(postingLists, values, candidateFactor * k))
+    restrictedScr(postingLists, rowVals, q, k, tables, values.size.toLong)
   }
 
   /** MCR-Josie: Josie per query column, intersect the table sets, then
@@ -66,24 +66,27 @@ object JosieLite {
       candidateFactor: Int = 5): Result = {
     val tuples = q.tuples.map(_.map(SuperKeyHash.normalize))
     val perCol = (0 until q.qSize).map { i =>
-      topTablesByOverlap(postingLists, tuples.map(_(i)), candidateFactor * k)
+      tableIds(topTablesByOverlap(postingLists, tuples.map(_(i)), candidateFactor * k))
     }
-    val tables = perCol.reduce(_.intersect(_))
-    restrictedScr(spark, postingLists, rowVals, q, k, tables,
+    val tables = perCol.reduce(_ intersect _)
+    restrictedScr(postingLists, rowVals, q, k, tables,
       tuples.flatten.distinct.size.toLong)
   }
 
+  private def tableIds(tables: DataFrame): Set[Long] = tables.collect().map(_.getLong(0)).toSet
+
+  /** SCR inside `tables`: the init-column posting-list items of those
+    * tables are verified by [[MateSpark.verifyItems]].
+    */
   private def restrictedScr(
-      spark: SparkSession,
       postingLists: DataFrame,
       rowVals: DataFrame,
       q: QueryTable,
       k: Int,
-      tables: DataFrame,
+      tables: Set[Long],
       fetched: Long): Result = {
-    val cand = MateSpark.candidates(postingLists, MateSpark.prepareQuery(spark, q))
-      .join(tables, Seq("tableId"))
-    val r = MateSpark.discover(cand, rowVals, None, k)
+    val items = MateSpark.fetch(postingLists, q).filter { case (t, _, _) => tables(t) }
+    val r = MateSpark.verifyItems(rowVals, q, items, k)
     Result(r.topK, fetched, r.metrics)
   }
 }

@@ -1,7 +1,5 @@
 package repro.core
 
-import repro.hash.SuperKeyHash
-
 /** Joinability semantics of §2.
   *
   * j(R, S) = max over column permutations Y' of |π_X(R) ∩ π_Y'(S)|
@@ -50,7 +48,7 @@ object Joinability {
   /** Joinability of one table from its verified rows (§2, Eq. 2): each
     * mapping collects the ids of the query tuples it matched, and j is
     * the largest such set, 0 when no row matches under any mapping.
-    * Both engines and [[groundTruth]] score tables with it.
+    * Both engines and the tests' ground truth score tables with it.
     */
   final class TableScore {
     private val tuplesOf = collection.mutable.LongMap.empty[collection.mutable.BitSet]
@@ -59,16 +57,5 @@ object Joinability {
       tuplesOf.getOrElseUpdate(mapping, collection.mutable.BitSet.empty) += tupleId
 
     def j: Long = tuplesOf.valuesIterator.map(_.size.toLong).maxOption.getOrElse(0L)
-  }
-
-  /** Ground-truth joinability of one candidate table against a set of
-    * distinct query tuples: the local reference the tests compare the
-    * engines against.
-    */
-  def groundTruth(tuples: Seq[Seq[String]], rows: Iterable[Map[Int, String]]): Long = {
-    val normTuples = tuples.map(_.map(SuperKeyHash.normalize)).distinct
-    val score      = new TableScore
-    for (row <- rows; (t, ti) <- normTuples.zipWithIndex) rowMappings(t, row).foreach(score.add(ti, _))
-    score.j
   }
 }

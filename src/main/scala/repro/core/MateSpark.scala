@@ -29,40 +29,44 @@ import repro.util.Bits
   * closure as flat arrays, and a pass runs at most one task per core.
   * [[run]] costs MATE and SCR one Spark job each:
   *
-  *  1. '''candidates, row filtering and calculateJ''', one pass over the
-  *     row values, zipped partition by partition with the row super keys
-  *     when there is a hash. The init column is the one of minimum
-  *     cardinality (§6.1). A row's value map holds every normalised cell
-  *     of the row, so its init-column posting-list items are exactly its
-  *     values among the query's init values: the pass looks each value
-  *     up, as the row map's own bytes, in a map of the init values, and
-  *     the row's candidate tuples are the distinct tuple ids of its hits.
-  *     A partition first drains its super keys into a map; a candidate
-  *     tuple is kept only if the row's super key masks its query super
-  *     key (`qsk ⊆ sk`, §6.3), and the survivors are verified in place:
-  *     [[Joinability.forEachMapping]] enumerates their column mappings
-  *     on the row map's key and value arrays. One compact record per
-  *     verified row comes back: table, pairs, cells, and flat arrays of
-  *     the matching tuple ids with their packed mappings. SCR has no
-  *     filter: its pass reads the row values alone and verifies every
-  *     candidate row.
-  *  2. '''the fallback''', for the candidate rows whose super key the
-  *     pass did not find in their partition. The relations
+  *  1. '''the verification pass''' ([[verifyPass]], the only pass that
+  *     verifies), over the row values, zipped partition by partition
+  *     with the row super keys when there is a hash and the two have as
+  *     many partitions. A row's candidate tuples come from one of two
+  *     sources. [[run]] looks the row's values up, as the row map's own
+  *     bytes, in a map of the query's init values: the init column is
+  *     the one of minimum cardinality (§6.1), and a row's value map holds
+  *     every normalised cell of the row, so its init-column posting-list
+  *     items are exactly its values among the init values. Every other
+  *     caller looks the row's `(tableId, rowId)` up among the candidate
+  *     rows it found itself. A partition first drains its super keys into
+  *     a map; a candidate tuple is kept only if the row's super key masks
+  *     its query super key (`qsk ⊆ sk`, §6.3), and the survivors are
+  *     verified in place: [[Joinability.forEachMapping]] enumerates their
+  *     column mappings on the row map's key and value arrays. One compact
+  *     record per verified row comes back: table, pairs, cells, and flat
+  *     arrays of the matching tuple ids with their packed mappings. SCR
+  *     has no filter: its pass reads the row values alone and verifies
+  *     every candidate row.
+  *  2. '''the super keys of unseen rows''', the candidate rows whose
+  *     super key the pass did not find in their partition. The relations
   *     [[repro.index.InvertedIndex]] builds hash-aggregate on
   *     `(tableId, rowId)` and keep that partitioning when cached, so for
   *     them there are none and no further job runs. Their plans cannot
   *     show this in advance; for any other relations (uncached,
   *     repartitioned, or with a different partition count, when the row
-  *     values are read alone) those rows come back unmasked, and the
-  *     candidate-driven passes [[discover]] runs finish them exactly: one
-  *     over the super keys zipped with the row values masks them and
-  *     verifies the survivors it finds there, and SCR's candidate pass
-  *     verifies the rest.
+  *     values are read alone) one pass over the row super keys alone
+  *     fetches those rows' super keys, the driver masks them, and the
+  *     verification pass runs again, unmasked, over the survivors.
   *  3. '''top-k''', on the driver — the records fold into [[Metrics]]
   *     and, per table, into a [[Joinability.TableScore]], the best
   *     mapping's distinct-tuple count; the k best under
   *     `(-j, tableId)` are returned.
   *
+  * [[discover]] is an adapter over steps 1–3 for candidate pairs found
+  * as a DataFrame ([[candidates]]); the benchmark's traced path calls
+  * it. The baselines select init-column posting-list items their own
+  * way and hand them to [[verifyItems]]: steps 1 and 3, unmasked.
   * [[fetch]] and [[fetchAll]] return the init-column posting-list items
   * themselves, the input of the sequential Algorithm 1 ([[MateLocal]]).
   * The sequential table-filter rules (Algorithm 1 lines 9/14) depend on
@@ -131,10 +135,11 @@ object MateSpark {
       .toDF("qTupleId", "qsk")
   }
 
-  /** Run row filtering + verification + top-k on fetched candidates.
+  /** Row filtering + verification + top-k of fetched candidates: the
+    * candidate pairs are collected to the driver and verified as
+    * [[run]] verifies its own.
     *
-    * @param cand     candidate pairs from [[candidates]], collected to
-    *                 the driver here
+    * @param cand     candidate pairs from [[candidates]]
     * @param rowVals  per-row value maps ([[repro.index.InvertedIndex.rowValues]])
     * @param filter   `Some((rowSk, querySk))` for MATE with a hash;
     *                 `None` for the SCR baseline (exact checks only)
@@ -145,18 +150,18 @@ object MateSpark {
       rowVals: DataFrame,
       filter: Option[(DataFrame, DataFrame)],
       k: Int): Result = {
-    val t0 = System.nanoTime()
+    val t0      = System.nanoTime()
     val fetched = cand.select("tableId", "rowId", "qTupleId", "tuple").collect()
     val tuples  = fetched.iterator.map(r => r.getInt(2) -> r.getSeq[String](3)).toMap
     val qIds    = tuples.keys.toArray // tuple i below is the one with qTupleId qIds(i)
     val at      = qIds.zipWithIndex.toMap
-    val pairs   = fetched.map(r => (r.getLong(0), r.getLong(1), at(r.getInt(2)))).distinct
     val masks   = filter.map { case (rowSk, querySk) =>
       val qsk = querySk.select("qTupleId", "qsk").collect().map(r => r.getInt(0) -> r.getAs[Array[Byte]](1)).toMap
       (rowSk, qIds.map(qsk))
     }
-    val records = verifyCandidates(Rows(pairs.groupMap(p => (p._1, p._2))(_._3)), qIds.map(tuples(_).toArray), rowVals, masks)
-    result(records, pairs.length, masks.isDefined, k, t0)
+    val cands = Rows.ofPairs(fetched.map(r => (r.getLong(0), r.getLong(1), at(r.getInt(2)))))
+    val (records, candidatePairs) = verify(rowVals, masks, cands, qIds.map(tuples(_).toArray))
+    result(records, candidatePairs, masks.isDefined, k, t0)
   }
 
   /** The normalised init-column values of `q`'s tuples, tuple `i`'s at `i`. */
@@ -171,12 +176,19 @@ object MateSpark {
   def fetch(postingLists: DataFrame, q: QueryTable): Array[(Long, Long, String)] =
     fetchAll(postingLists, Seq(q)).head
 
-  /** [[fetch]] for many queries in one pass over the posting lists, which
-    * keeps the items holding any query's init value: query `i`'s items
-    * are at `i`.
+  /** [[fetch]] for many queries in one pass over the posting lists:
+    * query `i`'s items are at `i`.
     */
-  def fetchAll(postingLists: DataFrame, queries: Seq[QueryTable]): IndexedSeq[Array[(Long, Long, String)]] = {
-    val wanted = ValueIds(queries.zipWithIndex.flatMap { case (q, i) => initValues(q).distinct.map(_ -> i) })
+  def fetchAll(postingLists: DataFrame, queries: Seq[QueryTable]): IndexedSeq[Array[(Long, Long, String)]] =
+    fetchValues(postingLists, queries.map(initValues)).map(_.distinct)
+
+  /** The posting-list items `(tableId, rowId, value)` holding a value of
+    * each of `valueSets` in one pass over the posting lists, which keeps
+    * the items holding any set's value: set `i`'s items are at `i`, one
+    * per cell that holds one of its values, in posting-list order.
+    */
+  def fetchValues(postingLists: DataFrame, valueSets: Seq[Seq[String]]): IndexedSeq[Array[(Long, Long, String)]] = {
+    val wanted = ValueIds(valueSets.zipWithIndex.flatMap { case (vs, i) => vs.distinct.map(_ -> i) })
     val Seq(v, t, r) = fieldIndices(postingLists, "value", "tableId", "rowId")
     val items = postingLists.queryExecution.toRdd.mapPartitions { rows =>
       val at = wanted.index
@@ -185,10 +197,10 @@ object MateSpark {
         if (x < 0) None else Some((row.getLong(t), row.getLong(r), x))
       }
     }.collect()
-    val values  = wanted.values.map(new String(_, UTF_8))
-    val byQuery = IndexedSeq.fill(queries.size)(Array.newBuilder[(Long, Long, String)])
-    for ((table, row, x) <- items; i <- wanted.idsOf(x)) byQuery(i) += ((table, row, values(x)))
-    byQuery.map(_.result().distinct)
+    val values = wanted.values.map(new String(_, UTF_8))
+    val bySet  = IndexedSeq.fill(valueSets.size)(Array.newBuilder[(Long, Long, String)])
+    for ((table, row, x) <- items; i <- wanted.idsOf(x)) bySet(i) += ((table, row, values(x)))
+    bySet.map(_.result())
   }
 
   /** End-to-end: candidates + filter + verify + top-k for one query
@@ -210,12 +222,30 @@ object MateSpark {
       k: Int): Result = {
     val t0     = System.nanoTime()
     val tuples = normTuples(q)
-    val init   = ValueIds(initValues(q).zipWithIndex)
     val masks  = for (sk <- rowSk; h <- hash) yield (sk, tuples.map(h.superKey).toArray)
-    val arrays = tuples.map(_.toArray).toArray
-    val (found, candidatePairs, unseen) = findAndVerify(rowVals, masks, init, arrays)
-    val records = if (unseen.tables.isEmpty) found else found ++ verifyCandidates(unseen, arrays, rowVals, masks)
+    val (records, candidatePairs) = verify(rowVals, masks, ValueIds(initValues(q).zipWithIndex), tuples.map(_.toArray).toArray)
     result(records, candidatePairs, masks.isDefined, k, t0)
+  }
+
+  /** SCR's verification and top-k of `items`, init-column posting-list
+    * items `(tableId, rowId, initValue)` of `q` that a baseline selected:
+    * each binds to the tuples whose init value it holds.
+    */
+  def verifyItems(rowVals: DataFrame, q: QueryTable, items: collection.Seq[(Long, Long, String)], k: Int): Result = {
+    val t0     = System.nanoTime()
+    val idsOf  = initValues(q).zipWithIndex.groupMap(_._1)(_._2)
+    val cands  = Rows.ofPairs(items.flatMap { case (t, r, v) => idsOf.getOrElse(v, Nil).map((t, r, _)) })
+    val (records, candidatePairs) = verify(rowVals, None, cands, normTuples(q).map(_.toArray).toArray)
+    result(records, candidatePairs, masked = false, k, t0)
+  }
+
+  /** Where [[verifyPass]] takes a row's candidate tuple ids from. */
+  private sealed trait Candidates {
+    /** Built once per task: the candidate tuple ids of the row `row`,
+      * whose table and row ids are its fields `t` and `r` and whose value
+      * map is `m`.
+      */
+    def finder(t: Int, r: Int): (InternalRow, MapData) => Array[Int]
   }
 
   /** Candidate or surviving rows as flat arrays: row `i` is
@@ -223,13 +253,19 @@ object MateSpark {
     * `ids(offsets(i) until offsets(i + 1))`. Arrays of primitives are
     * cheap to serialise into a task; each task builds the [[index]] once.
     */
-  private final case class Rows(tables: Array[Long], rows: Array[Long], offsets: Array[Int], ids: Array[Int]) {
+  private final case class Rows(tables: Array[Long], rows: Array[Long], offsets: Array[Int], ids: Array[Int])
+      extends Candidates {
     def idsOf(i: Int): Array[Int] = ids.slice(offsets(i), offsets(i + 1))
 
     def index: mutable.HashMap[(Long, Long), Int] = {
       val m = new mutable.HashMap[(Long, Long), Int](tables.length, mutable.HashMap.defaultLoadFactor)
       for (i <- tables.indices) m((tables(i), rows(i))) = i
       m
+    }
+
+    def finder(t: Int, r: Int): (InternalRow, MapData) => Array[Int] = {
+      val at = index
+      (row, _) => at.get((row.getLong(t), row.getLong(r))).fold(Array.emptyIntArray)(idsOf)
     }
   }
 
@@ -238,6 +274,10 @@ object MateSpark {
       val all = byRow.iterator.toArray
       Rows(all.map(_._1._1), all.map(_._1._2), all.map(_._2.length).scanLeft(0)(_ + _), all.flatMap(_._2))
     }
+
+    /** The rows of the distinct `(tableId, rowId, tuple id)` pairs. */
+    def ofPairs(pairs: collection.Seq[(Long, Long, Int)]): Rows =
+      Rows(pairs.distinct.groupMap(p => (p._1, p._2))(_._3).iterator.map { case (row, ids) => row -> ids.toArray })
   }
 
   /** Distinct values with the ids that hold them, as flat arrays: value
@@ -246,13 +286,32 @@ object MateSpark {
     * [[index]] once and looks the row values up in it as they are
     * stored, without decoding them.
     */
-  private final case class ValueIds(values: Array[Array[Byte]], offsets: Array[Int], ids: Array[Int]) {
+  private final case class ValueIds(values: Array[Array[Byte]], offsets: Array[Int], ids: Array[Int])
+      extends Candidates {
     def idsOf(i: Int): Array[Int] = ids.slice(offsets(i), offsets(i + 1))
 
     def index: mutable.HashMap[UTF8String, Int] = {
       val m = new mutable.HashMap[UTF8String, Int](values.length, mutable.HashMap.defaultLoadFactor)
       for (i <- values.indices) m(UTF8String.fromBytes(values(i))) = i
       m
+    }
+
+    /** A row's candidate tuples are the ids held by the distinct values of its map. */
+    def finder(t: Int, r: Int): (InternalRow, MapData) => Array[Int] = {
+      val at = index
+      (_, m) => idsOfValues(m.valueArray(), at)
+    }
+
+    /** The ids held by the distinct values of `vals`; `at` is [[index]]. */
+    private def idsOfValues(vals: ArrayData, at: mutable.HashMap[UTF8String, Int]): Array[Int] = {
+      var hits = List.empty[Int]
+      var c    = 0
+      while (c < vals.numElements()) {
+        val x = at.getOrElse(vals.getUTF8String(c), -1)
+        if (x >= 0 && !hits.contains(x)) hits = x :: hits
+        c += 1
+      }
+      if (hits.isEmpty) Array.emptyIntArray else hits.toArray.flatMap(idsOf)
     }
   }
 
@@ -290,30 +349,17 @@ object MateSpark {
     (table, ids.length, cols.length, hitIds.result(), hitMappings.result())
   }
 
-  /** The ids `init` holds for the distinct values of `vals`, the value
-    * array of a row map; `at` is `init.index`.
+  /** The verification pass (step 1): one pass over the row values,
+    * zipped with the row super keys when `masks` (the row super keys and
+    * each query tuple's super key) is set and the two have as many
+    * partitions. Returns the records, the number of candidate pairs, and
+    * the candidate rows whose super key the pass did not find in their
+    * partition, unmasked.
     */
-  private def candidateIds(vals: ArrayData, at: mutable.HashMap[UTF8String, Int], init: ValueIds): Array[Int] = {
-    var hits = List.empty[Int]
-    var c    = 0
-    while (c < vals.numElements()) {
-      val x = at.getOrElse(vals.getUTF8String(c), -1)
-      if (x >= 0 && !hits.contains(x)) hits = x :: hits
-      c += 1
-    }
-    if (hits.isEmpty) Array.emptyIntArray else hits.toArray.flatMap(init.idsOf)
-  }
-
-  /** Candidates, row filter and verification in one pass over the row
-    * values, zipped with the row super keys when `masks` is set and the
-    * two have as many partitions. Returns the records, the number of
-    * candidate pairs, and the candidate rows whose super key the pass did
-    * not find in their partition, unmasked.
-    */
-  private def findAndVerify(
+  private def verifyPass(
       rowVals: DataFrame,
       masks: Option[(DataFrame, Array[Array[Byte]])],
-      init: ValueIds,
+      cands: Candidates,
       tuples: Array[Array[String]]): (Array[Record], Long, Rows) = {
     val Seq(vt, vr, v) = fieldIndices(rowVals, "tableId", "rowId", "vals")
     val skFields       = masks.map { case (rowSk, _) => fieldIndices(rowSk, "tableId", "rowId", "sk") }
@@ -321,13 +367,13 @@ object MateSpark {
     def pass(sks: Iterator[InternalRow], vals: Iterator[InternalRow]): Iterator[(Array[Record], Long, Array[((Long, Long), Array[Int])])] = {
       val skOf = mutable.HashMap.empty[(Long, Long), Array[Byte]]
       for (Seq(st, sr, s) <- skFields; row <- sks) skOf((row.getLong(st), row.getLong(sr))) = row.getBinary(s)
-      val at      = init.index
+      val idsOf   = cands.finder(vt, vr)
       val records = Array.newBuilder[Record]
       val unseen  = Array.newBuilder[((Long, Long), Array[Int])]
       var pairs   = 0L
       for (row <- vals) {
         val m   = row.getMap(v)
-        val ids = candidateIds(m.valueArray(), at, init)
+        val ids = idsOf(row, m)
         if (ids.nonEmpty) {
           pairs += ids.length
           val table = row.getLong(vt)
@@ -353,75 +399,32 @@ object MateSpark {
     (parts.flatMap(_._1), parts.iterator.map(_._2).sum, Rows(parts.iterator.flatMap(_._3)))
   }
 
-  /** Exact verification: one pass over the row values. Only the rows in
-    * `cand` have their value maps read.
+  /** Steps 1 and 2: [[verifyPass]], then for the rows it did not see
+    * masked, one pass over the row super keys alone fetches their super
+    * keys, the driver masks them, and [[verifyPass]] verifies the
+    * survivors unmasked. Returns the records and the number of candidate
+    * pairs.
     */
-  private def verifyRows(rowVals: DataFrame, cand: Rows, tuples: Array[Array[String]]): Array[Record] = {
-    val Seq(t, r, v) = fieldIndices(rowVals, "tableId", "rowId", "vals")
-    perCore(rowVals.queryExecution.toRdd.mapPartitions { rows =>
-      val at = cand.index
-      rows.flatMap { row =>
-        val table = row.getLong(t)
-        at.get((table, row.getLong(r))).map(i => verifyRow(table, row.getMap(v), cand.idsOf(i), tuples))
-      }
-    }).collect()
-  }
-
-  /** Row filter and verification of the candidate rows `cand`: one pass
-    * over the row super keys zipped with the row values. A partition
-    * drains its super keys first: a candidate row keeps the tuple ids
-    * whose query super key its own masks, one subset test per candidate
-    * pair (§6.3's "single operation"). Then it verifies the surviving
-    * rows it finds among its row values. Returns the records and the
-    * unseen survivors.
-    */
-  private def filterAndVerify(
-      rowSk: DataFrame,
+  private def verify(
       rowVals: DataFrame,
-      cand: Rows,
-      qsk: Array[Array[Byte]],
-      tuples: Array[Array[String]]): (Array[Record], Rows) = {
-    val Seq(st, sr, s) = fieldIndices(rowSk, "tableId", "rowId", "sk")
-    val Seq(vt, vr, v) = fieldIndices(rowVals, "tableId", "rowId", "vals")
-    def pass(sks: Iterator[InternalRow], vals: Iterator[InternalRow]): Iterator[(Array[Record], Array[((Long, Long), Array[Int])])] = {
-      val at   = cand.index
-      val kept = mutable.HashMap.empty[(Long, Long), Array[Int]]
-      for (row <- sks) {
-        val key = (row.getLong(st), row.getLong(sr))
-        for (i <- at.get(key)) {
-          val sk  = row.getBinary(s)
-          val ids = cand.idsOf(i).filter(id => Bits.subsetOf(qsk(id), sk))
-          if (ids.nonEmpty) kept(key) = ids
-        }
-      }
-      val records = vals.flatMap { row =>
-        val key = (row.getLong(vt), row.getLong(vr))
-        kept.remove(key).map(verifyRow(key._1, row.getMap(v), _, tuples))
-      }.toArray
-      Iterator.single((records, kept.toArray))
+      masks: Option[(DataFrame, Array[Array[Byte]])],
+      cands: Candidates,
+      tuples: Array[Array[String]]): (Array[Record], Long) = {
+    val (found, candidatePairs, unseen) = verifyPass(rowVals, masks, cands, tuples)
+    masks match {
+      case Some((rowSk, qsk)) if unseen.tables.nonEmpty =>
+        val Seq(t, r, s) = fieldIndices(rowSk, "tableId", "rowId", "sk")
+        val sks = perCore(rowSk.queryExecution.toRdd.mapPartitions { rows =>
+          val at = unseen.index
+          rows.flatMap(row => at.get((row.getLong(t), row.getLong(r))).map(_ -> row.getBinary(s)))
+        }).collect()
+        val kept = Rows(sks.iterator.map { case (i, sk) =>
+          (unseen.tables(i), unseen.rows(i)) -> unseen.idsOf(i).filter(id => Bits.subsetOf(qsk(id), sk))
+        }.filter(_._2.nonEmpty))
+        if (kept.tables.isEmpty) (found, candidatePairs)
+        else (found ++ verifyPass(rowVals, None, kept, tuples)._1, candidatePairs)
+      case _ => (found, candidatePairs)
     }
-    val (sks, vals) = (rowSk.queryExecution.toRdd, rowVals.queryExecution.toRdd)
-    val zipped =
-      if (sks.getNumPartitions == vals.getNumPartitions) sks.zipPartitions(vals)(pass)
-      else sks.mapPartitions(pass(_, Iterator.empty))
-    val parts = perCore(zipped).collect()
-    (parts.flatMap(_._1), Rows(parts.iterator.flatMap(_._2)))
-  }
-
-  /** Row filter and verification of the candidate rows `cand`: with
-    * `masks` (the row super keys and each query tuple's super key)
-    * [[filterAndVerify]], then SCR's [[verifyRows]] for the survivors it
-    * did not find; without, [[verifyRows]] alone.
-    */
-  private def verifyCandidates(
-      cand: Rows,
-      tuples: Array[Array[String]],
-      rowVals: DataFrame,
-      masks: Option[(DataFrame, Array[Array[Byte]])]): Array[Record] = masks match {
-    case None => verifyRows(rowVals, cand, tuples)
-    case Some((rowSk, qsk)) =>
-      val (seen, unseen) = filterAndVerify(rowSk, rowVals, cand, qsk, tuples)
-      if (unseen.tables.isEmpty) seen else seen ++ verifyRows(rowVals, unseen, tuples)
   }
 
   /** The driver-side fold of the verified `records` of `candidatePairs`

@@ -5,7 +5,7 @@ import scala.collection.concurrent.TrieMap
 
 import repro.corpus.CorpusGen
 import repro.corpus.CorpusGen.{CorpusConfig, QuerySetConfig, QueryTable}
-import repro.core.{Joinability, MateLocal, MateSpark}
+import repro.core.{MateLocal, MateSpark}
 import repro.hash.SuperKeyHash
 import repro.index.InvertedIndex
 
@@ -66,7 +66,7 @@ object Fixtures {
   /** Ground-truth joinability of every corpus table for query `q`. */
   def groundTruthJ(q: QueryTable): Map[Long, Long] =
     localTables.map { case (t, rows) =>
-      t -> Joinability.groundTruth(q.tuples, rows.values)
+      t -> Reference.groundTruth(q.tuples, rows.values)
     }.filter(_._2 > 0)
 
   /** Ground-truth top-k, ordered like the discovery dataflow. */

@@ -1,0 +1,58 @@
+package repro.baselines
+
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions._
+
+import repro.core.{InitColumn, MateSpark}
+import repro.corpus.CorpusGen.QueryTable
+import repro.hash.SuperKeyHash
+
+/** The baselines as DataFrame plans, the reference [[Mcr]] and
+  * [[JosieLite]] are compared with: MCR's per-column posting-list join
+  * and `groupBy` intersection, and both Josie adaptations' join of the
+  * candidate pairs with the ranked tables, each verified by
+  * [[MateSpark.discover]] on [[MateSpark.candidates]].
+  */
+object DataFrameBaselines {
+
+  def mcr(spark: SparkSession, postingLists: DataFrame, rowVals: DataFrame, q: QueryTable, k: Int): Mcr.Result = {
+    import spark.implicits._
+    val tuples = q.tuples.map(_.map(SuperKeyHash.normalize))
+    // a posting-list item per (value, query column) pair, counted per row
+    val colValues = tuples.flatMap(_.zipWithIndex).distinct.toDF("value", "qcol")
+    val perRow = postingLists.join(broadcast(colValues), "value")
+      .groupBy("tableId", "rowId", "qcol").count()
+      .collect()
+    val plItems = perRow.map(_.getLong(3)).sum
+    // rows containing a value of every query column
+    val intersected = perRow.groupBy(r => (r.getLong(0), r.getLong(1))).iterator
+      .collect { case (row, cols) if cols.length == q.qSize => row }
+      .toSeq.toDF("tableId", "rowId")
+    val cand = MateSpark.candidates(postingLists, MateSpark.prepareQuery(spark, q))
+      .join(broadcast(intersected), Seq("tableId", "rowId"))
+    val r = MateSpark.discover(cand, rowVals, None, k)
+    Mcr.Result(r.topK, plItems, r.metrics)
+  }
+
+  def scrJosie(spark: SparkSession, postingLists: DataFrame, rowVals: DataFrame, q: QueryTable, k: Int,
+               candidateFactor: Int = 5): JosieLite.Result = {
+    val initCol = InitColumn.byCardinality(q.rows)
+    val values  = q.tuples.map(t => SuperKeyHash.normalize(t(initCol)))
+    val tables  = JosieLite.topTablesByOverlap(postingLists, values, candidateFactor * k)
+    restrictedScr(spark, postingLists, rowVals, q, k, tables, values.size.toLong)
+  }
+
+  def mcrJosie(spark: SparkSession, postingLists: DataFrame, rowVals: DataFrame, q: QueryTable, k: Int,
+               candidateFactor: Int = 5): JosieLite.Result = {
+    val tuples = q.tuples.map(_.map(SuperKeyHash.normalize))
+    val perCol = (0 until q.qSize).map(i => JosieLite.topTablesByOverlap(postingLists, tuples.map(_(i)), candidateFactor * k))
+    restrictedScr(spark, postingLists, rowVals, q, k, perCol.reduce(_.intersect(_)), tuples.flatten.distinct.size.toLong)
+  }
+
+  private def restrictedScr(spark: SparkSession, postingLists: DataFrame, rowVals: DataFrame, q: QueryTable, k: Int,
+                            tables: DataFrame, fetched: Long): JosieLite.Result = {
+    val cand = MateSpark.candidates(postingLists, MateSpark.prepareQuery(spark, q)).join(tables, Seq("tableId"))
+    val r = MateSpark.discover(cand, rowVals, None, k)
+    JosieLite.Result(r.topK, fetched, r.metrics)
+  }
+}

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.{Oracle, PropHelpers, SparkSpec}
+import repro.{Oracle, PropHelpers, Reference, SparkSpec}
 import repro.corpus.CorpusGen.{Cell, QueryTable}
 import repro.hash.Xash
 import repro.index.InvertedIndex
@@ -54,7 +54,7 @@ class JoinabilitySpec extends SparkSpec with PropHelpers {
     val sks     = rowSk.collect().map(r => (r.getLong(0), r.getLong(1)) -> r.getAs[Array[Byte]]("sk")).toMap
     val plItems = MateSpark.fetch(pls, q).toSeq.map { case (t, r, v) => MateLocal.PlItem(t, r, v, sks((t, r))) }
     val expected = Seq((0L, 2L))
-    assert(Joinability.groundTruth(q.tuples, rows.values) == 2L)
+    assert(Reference.groundTruth(q.tuples, rows.values) == 2L)
     for (h <- Seq(Some(xash), None)) {
       val what = h.getOrElse("SCR").toString
       assert(MateLocal.discover(plItems, q, h, t => if (t == 0L) rows else Map.empty, 10).topK == expected, what)
@@ -68,22 +68,22 @@ class JoinabilitySpec extends SparkSpec with PropHelpers {
     val rows = Seq(
       Map(0 -> "a", 1 -> "b", 2 -> "x"),  // matches tuple 0 under 0:0|1:1
       Map(0 -> "d", 1 -> "x", 2 -> "c"))  // matches tuple 1 under 0:2|1:0
-    assert(Joinability.groundTruth(tuples, rows) == 1L)
+    assert(Reference.groundTruth(tuples, rows) == 1L)
     // With an aligned second row both count.
     val aligned = Seq(
       Map(0 -> "a", 1 -> "b", 2 -> "x"),
       Map(0 -> "c", 1 -> "d", 2 -> "y"))
-    assert(Joinability.groundTruth(tuples, aligned) == 2L)
+    assert(Reference.groundTruth(tuples, aligned) == 2L)
   }
 
   test("groundTruth counts distinct tuples, not rows") {
     val tuples = Seq(Seq("a", "b"))
     val rows = (0 until 5).map(_ => Map(0 -> "a", 1 -> "b"))
-    assert(Joinability.groundTruth(tuples, rows) == 1L)
+    assert(Reference.groundTruth(tuples, rows) == 1L)
   }
 
   test("groundTruth normalises values case-insensitively") {
-    assert(Joinability.groundTruth(Seq(Seq("A ", "B")), Seq(Map(0 -> "a", 1 -> "b"))) == 1L)
+    assert(Reference.groundTruth(Seq(Seq("A ", "B")), Seq(Map(0 -> "a", 1 -> "b"))) == 1L)
   }
 
   test("groundTruth matches DuckDB argmax-over-mappings INTERSECT semantics (running example)") {
@@ -104,7 +104,7 @@ class JoinabilitySpec extends SparkSpec with PropHelpers {
     val rows = cand.collect().zipWithIndex.map { case (r, i) =>
       (0 until 3).map(c => c -> r.getString(c)).toMap
     }
-    val j = Joinability.groundTruth(tuples, rows)
+    val j = Reference.groundTruth(tuples, rows)
 
     // SQL: max over all ordered column pairs of |π(qt) ∩ π_perm(cand)|.
     val perms = for {
@@ -124,7 +124,7 @@ class JoinabilitySpec extends SparkSpec with PropHelpers {
       val candRows = (0 until 10).map(_ => (v(), v(), v()))
       val qt = qtRows.toDF("q0", "q1")
       val cand = candRows.toDF("c0", "c1", "c2")
-      val j = Joinability.groundTruth(
+      val j = Reference.groundTruth(
         qtRows.map(t => Seq(t._1, t._2)),
         candRows.map(r => Map(0 -> r._1, 1 -> r._2, 2 -> r._3)))
       val perms = for { a <- 0 until 3; b <- 0 until 3 if a != b }

@@ -1,8 +1,10 @@
 package repro.core
 
 import org.apache.spark.{SparkJobCounter, SqlExecutionCounter}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.storage.StorageLevel
 import repro.{Fixtures, Oracle, SparkSpec}
+import repro.baselines.{JosieLite, Mcr}
 import repro.corpus.CorpusGen.{Cell, QueryTable}
 import repro.hash.{BloomHashes, Hashes, StandardHashes, SuperKeyHash, Xash}
 import repro.index.InvertedIndex
@@ -164,6 +166,7 @@ class MateSparkSpec extends SparkSpec {
   }
 
   test("run reads the index relations' columns by name and needs no cache") {
+    // discover and the baselines too, each equal to its call on the cached relations
     // a new source plan, so no cached plan matches the relations built on it
     val cells = spark.createDataFrame(Fixtures.corpus.cells.rdd, Fixtures.corpus.cells.schema)
     for (h <- Seq(Some(Xash(128, 4)), None)) {
@@ -180,26 +183,49 @@ class MateSparkSpec extends SparkSpec {
       // row super keys in more partitions than the row values, so the pass reads the values alone
       val mismatched = (Fixtures.pls, Fixtures.rowVals, h.map(Fixtures.rowSk(_).repartition(n + 1)))
       for (df <- mismatched._3) assert(df.queryExecution.toRdd.getNumPartitions != n)
-      for (q <- Fixtures.allQueries;
-           (how, (pls, rowVals, rowSk)) <- Seq("reordered" -> reordered, "uncached" -> uncached,
-             "scattered" -> scattered, "mismatched" -> mismatched)) {
-        val what     = s"query ${q.set}/${q.id} ${h.getOrElse("SCR")} $how"
-        val expected = runWith(q, h)
-        val r        = MateSpark.run(spark, pls, rowVals, rowSk, h, q, k)
-        assert(r.topK == expected.topK, what)
-        assert(r.metrics.copy(millis = 0) == expected.metrics.copy(millis = 0), what)
+      for (q <- Fixtures.allQueries) {
+        val expected     = runWith(q, h)
+        val expectedDisc = discoverCached(q, h)
+        // the baselines read no super keys: once, with the SCR inputs
+        val expectedBase = if (h.isEmpty) baselinesOn(Fixtures.pls, Fixtures.rowVals, q) else Nil
+        for ((how, (pls, rowVals, rowSk)) <- Seq("reordered" -> reordered, "uncached" -> uncached,
+               "scattered" -> scattered, "mismatched" -> mismatched)) {
+          val what = s"query ${q.set}/${q.id} ${h.getOrElse("SCR")} $how"
+          val r    = MateSpark.run(spark, pls, rowVals, rowSk, h, q, k)
+          assert(r.topK == expected.topK, what)
+          assert(r.metrics.copy(millis = 0) == expected.metrics.copy(millis = 0), what)
+          val disc = discoverOn(pls, rowVals, rowSk, q, h)
+          assert(disc.topK == expectedDisc.topK, s"discover $what")
+          assert(disc.metrics.copy(millis = 0) == expectedDisc.metrics.copy(millis = 0), s"discover $what")
+          if (h.isEmpty) assert(baselinesOn(pls, rowVals, q) == expectedBase, s"baselines $what")
+        }
       }
     }
   }
 
+  /** MCR's, SCR-Josie's and MCR-Josie's top-k, PL items and metrics
+    * without `millis`.
+    */
+  private def baselinesOn(pls: DataFrame, rowVals: DataFrame, q: QueryTable): Seq[(Seq[(Long, Long)], Long, MateSpark.Metrics)] = {
+    val mcr = Mcr.run(spark, pls, rowVals, q, k)
+    val sj  = JosieLite.scrJosie(spark, pls, rowVals, q, k)
+    val mj  = JosieLite.mcrJosie(spark, pls, rowVals, q, k)
+    Seq((mcr.topK, mcr.plItemsFetched, mcr.metrics), (sj.topK, sj.plItemsFetched, sj.metrics),
+      (mj.topK, mj.plItemsFetched, mj.metrics)).map { case (t, n, m) => (t, n, m.copy(millis = 0)) }
+  }
+
   /** [[MateSpark.discover]] on cached candidates, as the benches call it. */
-  private def discoverCached(q: QueryTable, h: Option[SuperKeyHash]): MateSpark.Result = {
-    val cand = MateSpark.candidates(Fixtures.pls, MateSpark.prepareQuery(spark, q)).cache()
+  private def discoverOn(pls: DataFrame, rowVals: DataFrame, rowSk: Option[DataFrame], q: QueryTable,
+                         h: Option[SuperKeyHash]): MateSpark.Result = {
+    val cand = MateSpark.candidates(pls, MateSpark.prepareQuery(spark, q)).cache()
     cand.count()
-    val filter = h.map(x => (Fixtures.rowSk(x), MateSpark.querySuperKeys(spark, q, x)))
-    try MateSpark.discover(cand, Fixtures.rowVals, filter, k)
+    val filter = for (sk <- rowSk; x <- h) yield (sk, MateSpark.querySuperKeys(spark, q, x))
+    try MateSpark.discover(cand, rowVals, filter, k)
     finally cand.unpersist()
   }
+
+  private def discoverCached(q: QueryTable, h: Option[SuperKeyHash]): MateSpark.Result =
+    discoverOn(Fixtures.pls, Fixtures.rowVals, h.map(Fixtures.rowSk), q, h)
 
   test("run, discover and Algorithm 1 agree: same top-k, and run and discover count the same work") {
     for (q <- Fixtures.allQueries; h <- Seq(Some(Xash(128, 4)), None)) {

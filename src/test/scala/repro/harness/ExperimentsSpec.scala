@@ -9,7 +9,7 @@ class ExperimentsSpec extends SparkSpec {
 
   private lazy val pc = Experiments.prepare(spark, Fixtures.corpus)
 
-  test("prepare caches candidates and local copies for every query") {
+  test("prepare fetches every query's items and copies the rows locally") {
     for ((set, qs) <- pc.queries; q <- qs) assert(pc.localPls.contains((set, q.id)))
     assert(pc.localRows.keySet.nonEmpty)
     // local row copy matches the distributed row count
