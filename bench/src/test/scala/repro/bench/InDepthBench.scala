@@ -19,7 +19,7 @@ class InDepthBench extends SparkSpec {
 
   test("§7.5.4: initial-column heuristic fetches fewest PLs after the oracle") {
     val pc = BenchGrid.workload.find(_.corpus.name == "OD").get
-    val results = Experiments.initColumnExperiment(spark, pc, "OD (10k)")
+    val results = Experiments.initColumnExperiment(pc, "OD (10k)")
     println(Experiments.initColumnTable(results))
 
     val byName = results.map(r => r.heuristic -> r.avgPlItems).toMap

@@ -31,7 +31,7 @@ object TablesJob {
 
     if (which == "init" || which == "all") {
       val od = workload.find(_.corpus.name == "OD").get
-      println(Experiments.initColumnTable(Experiments.initColumnExperiment(spark, od, "OD (10k)")))
+      println(Experiments.initColumnTable(Experiments.initColumnExperiment(od, "OD (10k)")))
     }
     spark.stop()
   }

@@ -1,7 +1,6 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.DataFrame
 
 import repro.core.{InitColumn, MateSpark}
 import repro.corpus.CorpusGen.QueryTable
@@ -15,78 +14,58 @@ import repro.hash.SuperKeyHash
   * cost models; since its index "is not sufficient for multi-column join
   * discovery" (§7.1), the paper backs both adaptations with the SCR
   * index for row verification — reproduced here by restricting the SCR
-  * dataflow to Josie's candidate tables.
+  * dataflow to Josie's candidate tables. Each adaptation is two Spark
+  * jobs: one posting-list pass, whose items it both ranks on the driver
+  * and verifies, and [[MateSpark.verifyItems]]'s pass.
   */
 object JosieLite {
 
   final case class Result(topK: Seq[(Long, Long)], plItemsFetched: Long, metrics: MateSpark.Metrics)
 
-  /** Tables ranked by the best single-column overlap with `values`. */
-  def topTablesByOverlap(
-      postingLists: DataFrame,
-      values: Seq[String],
-      n: Int): DataFrame = {
-    val spark = postingLists.sparkSession
-    import spark.implicits._
-    val vdf = values.distinct.toDF("value")
-    postingLists.select($"value", $"tableId", $"colId").distinct()
-      .join(vdf, "value")
-      .groupBy($"tableId", $"colId").agg(count(lit(1)) as "overlap")
-      .groupBy($"tableId").agg(max($"overlap") as "overlap")
-      .orderBy(desc("overlap"), asc("tableId"))
-      .limit(n)
-      .select("tableId")
-  }
+  /** The `n` tables ranked first by their best single-column overlap
+    * with a query column, whose posting-list items `(tableId, rowId,
+    * colId, value)` are `items`: a column's overlap is its number of
+    * distinct values among them, a table's is its best column's, and
+    * ties go to the lower `tableId`.
+    */
+  def topTablesByOverlap(items: collection.Seq[(Long, Long, Int, String)], n: Int): Seq[Long] =
+    items.map { case (t, _, c, v) => (t, c, v) }.distinct
+      .groupMapReduce { case (t, c, _) => (t, c) }(_ => 1)(_ + _)
+      .groupMapReduce(_._1._1)(_._2)(_ max _)
+      .toSeq.sortBy { case (t, overlap) => (-overlap, t) }
+      .take(n).map(_._1)
 
   /** SCR-Josie: Josie ranks tables on the init column; SCR verifies
     * n-ary joinability inside those tables only.
     */
-  def scrJosie(
-      spark: SparkSession,
-      postingLists: DataFrame,
-      rowVals: DataFrame,
-      q: QueryTable,
-      k: Int,
-      candidateFactor: Int = 5): Result = {
+  def scrJosie(postingLists: DataFrame, rowVals: DataFrame, q: QueryTable, k: Int, candidateFactor: Int = 5): Result = {
     val initCol = InitColumn.byCardinality(q.rows)
     val values  = q.tuples.map(t => SuperKeyHash.normalize(t(initCol)))
-    val tables  = tableIds(topTablesByOverlap(postingLists, values, candidateFactor * k))
-    restrictedScr(postingLists, rowVals, q, k, tables, values.size.toLong)
+    val items   = MateSpark.fetchValues(postingLists, Seq(values)).head
+    restrictedScr(rowVals, q, k, items, topTablesByOverlap(items, candidateFactor * k).toSet, values.size.toLong)
   }
 
   /** MCR-Josie: Josie per query column, intersect the table sets, then
     * evaluate the surviving tables (§7.1.1).
     */
-  def mcrJosie(
-      spark: SparkSession,
-      postingLists: DataFrame,
-      rowVals: DataFrame,
-      q: QueryTable,
-      k: Int,
-      candidateFactor: Int = 5): Result = {
-    val tuples = q.tuples.map(_.map(SuperKeyHash.normalize))
-    val perCol = (0 until q.qSize).map { i =>
-      tableIds(topTablesByOverlap(postingLists, tuples.map(_(i)), candidateFactor * k))
-    }
-    val tables = perCol.reduce(_ intersect _)
-    restrictedScr(postingLists, rowVals, q, k, tables,
-      tuples.flatten.distinct.size.toLong)
+  def mcrJosie(postingLists: DataFrame, rowVals: DataFrame, q: QueryTable, k: Int, candidateFactor: Int = 5): Result = {
+    val perCol = Mcr.fetchColumns(postingLists, q)
+    val tables = Mcr.intersection(perCol.map(topTablesByOverlap(_, candidateFactor * k).toSet))
+    restrictedScr(rowVals, q, k, Mcr.initColumnItems(perCol, q), tables,
+      q.tuples.flatten.map(SuperKeyHash.normalize).distinct.size.toLong)
   }
-
-  private def tableIds(tables: DataFrame): Set[Long] = tables.collect().map(_.getLong(0)).toSet
 
   /** SCR inside `tables`: the init-column posting-list items of those
     * tables are verified by [[MateSpark.verifyItems]].
     */
   private def restrictedScr(
-      postingLists: DataFrame,
       rowVals: DataFrame,
       q: QueryTable,
       k: Int,
+      initItems: Array[(Long, Long, Int, String)],
       tables: Set[Long],
       fetched: Long): Result = {
-    val items = MateSpark.fetch(postingLists, q).filter { case (t, _, _) => tables(t) }
-    val r = MateSpark.verifyItems(rowVals, q, items, k)
+    val r = MateSpark.verifyItems(rowVals, q, initItems.collect { case (t, r, _, v) if tables(t) => (t, r, v) }, k)
     Result(r.topK, fetched, r.metrics)
   }
 }

@@ -180,26 +180,27 @@ object MateSpark {
     * query `i`'s items are at `i`.
     */
   def fetchAll(postingLists: DataFrame, queries: Seq[QueryTable]): IndexedSeq[Array[(Long, Long, String)]] =
-    fetchValues(postingLists, queries.map(initValues)).map(_.distinct)
+    fetchValues(postingLists, queries.map(initValues)).map(_.map { case (t, r, _, v) => (t, r, v) }.distinct)
 
-  /** The posting-list items `(tableId, rowId, value)` holding a value of
-    * each of `valueSets` in one pass over the posting lists, which keeps
-    * the items holding any set's value: set `i`'s items are at `i`, one
-    * per cell that holds one of its values, in posting-list order.
+  /** The posting-list items `(tableId, rowId, colId, value)` holding a
+    * value of each of `valueSets` in one pass over the posting lists,
+    * which keeps the items holding any set's value: set `i`'s items are
+    * at `i`, one per cell that holds one of its values, in posting-list
+    * order.
     */
-  def fetchValues(postingLists: DataFrame, valueSets: Seq[Seq[String]]): IndexedSeq[Array[(Long, Long, String)]] = {
+  def fetchValues(postingLists: DataFrame, valueSets: Seq[Seq[String]]): IndexedSeq[Array[(Long, Long, Int, String)]] = {
     val wanted = ValueIds(valueSets.zipWithIndex.flatMap { case (vs, i) => vs.distinct.map(_ -> i) })
-    val Seq(v, t, r) = fieldIndices(postingLists, "value", "tableId", "rowId")
+    val Seq(v, t, c, r) = fieldIndices(postingLists, "value", "tableId", "colId", "rowId")
     val items = postingLists.queryExecution.toRdd.mapPartitions { rows =>
       val at = wanted.index
       rows.flatMap { row =>
         val x = at.getOrElse(row.getUTF8String(v), -1)
-        if (x < 0) None else Some((row.getLong(t), row.getLong(r), x))
+        if (x < 0) None else Some((row.getLong(t), row.getLong(r), row.getInt(c), x))
       }
     }.collect()
     val values = wanted.values.map(new String(_, UTF_8))
-    val bySet  = IndexedSeq.fill(valueSets.size)(Array.newBuilder[(Long, Long, String)])
-    for ((table, row, x) <- items; i <- wanted.idsOf(x)) bySet(i) += ((table, row, values(x)))
+    val bySet  = IndexedSeq.fill(valueSets.size)(Array.newBuilder[(Long, Long, Int, String)])
+    for ((table, row, col, x) <- items; i <- wanted.idsOf(x)) bySet(i) += ((table, row, col, values(x)))
     bySet.map(_.result())
   }
 

@@ -26,7 +26,8 @@ object CorpusGen {
     * columns are irrelevant to discovery, §2).
     */
   final case class QueryTable(set: String, id: Int, rows: Seq[Seq[String]]) {
-    def qSize: Int = rows.head.length
+    /** Key columns; 0 for a query table with no rows. */
+    def qSize: Int = rows.headOption.fold(0)(_.length)
     /** Distinct key tuples — the projection π_X(R) of Eq. 1. */
     def tuples: Seq[Seq[String]] = rows.distinct
   }

@@ -213,15 +213,8 @@ object Experiments {
   final case class InitColumnResult(
       heuristic: String, avgPlItems: Double)
 
-  def initColumnExperiment(spark: SparkSession, pc: PreparedCorpus, set: String): Seq[InitColumnResult] = {
-    import spark.implicits._
-    val qs = pc.queries(set)
-    val perQuery: Seq[Map[String, Long]] = qs.map { q =>
-      val tuples = q.tuples.map(_.map(repro.hash.SuperKeyHash.normalize))
-      val counts: Seq[Long] = (0 until q.qSize).map { i =>
-        val vals = tuples.map(_(i)).distinct.toDF("value")
-        pc.pls.join(vals, "value").count()
-      }
+  def initColumnExperiment(pc: PreparedCorpus, set: String): Seq[InitColumnResult] = {
+    val perQuery = pc.queries(set).zip(columnPlItems(pc, set)).map { case (q, counts) =>
       Map(
         "Cardinality"  -> counts(InitColumn.byCardinality(q.rows)),
         "Column Order" -> counts(InitColumn.byColumnOrder(q.rows)),
@@ -232,6 +225,19 @@ object Experiments {
     Seq("Cardinality", "Column Order", "TLS", "Worst", "Best").map { h =>
       InitColumnResult(h, perQuery.map(_(h).toDouble).sum / perQuery.size)
     }
+  }
+
+  /** The posting-list items of each query column of each query in `set`,
+    * query `i`'s column `c` at `(i)(c)`, from one pass over the posting
+    * lists.
+    */
+  def columnPlItems(pc: PreparedCorpus, set: String): Seq[Seq[Long]] = {
+    val columns = pc.queries(set).map { q =>
+      val tuples = q.tuples.map(_.map(SuperKeyHash.normalize))
+      (0 until q.qSize).map(i => tuples.map(_(i)))
+    }
+    val counts = MateSpark.fetchValues(pc.pls, columns.flatten).iterator.map(_.length.toLong)
+    columns.map(_.map(_ => counts.next())) // the counts in the order of the flattened columns
   }
 
   /** Figure-4-shaped systems comparison: MATE+XASH vs SCR, MCR and the
@@ -249,9 +255,9 @@ object Experiments {
     val systems: Seq[(String, QueryTable => MateSpark.Metrics)] = Seq(
       "MATE (XASH-128)" -> (q => MateSpark.run(spark, pc.pls, pc.rowVals, Some(sk), Some(xash), q, K).metrics),
       "SCR"             -> (q => MateSpark.run(spark, pc.pls, pc.rowVals, None, None, q, K).metrics),
-      "MCR"             -> (q => Mcr.run(spark, pc.pls, pc.rowVals, q, K).metrics),
-      "SCR Josie"       -> (q => JosieLite.scrJosie(spark, pc.pls, pc.rowVals, q, K).metrics),
-      "MCR Josie"       -> (q => JosieLite.mcrJosie(spark, pc.pls, pc.rowVals, q, K).metrics))
+      "MCR"             -> (q => Mcr.run(pc.pls, pc.rowVals, q, K).metrics),
+      "SCR Josie"       -> (q => JosieLite.scrJosie(pc.pls, pc.rowVals, q, K).metrics),
+      "MCR Josie"       -> (q => JosieLite.mcrJosie(pc.pls, pc.rowVals, q, K).metrics))
     val out = sets.flatMap { set =>
       val qs    = pc.queries(set)
       val cells = systems.map { case (_, call) => qs.map(call(_).cellsCompared.toDouble).sum / qs.size }

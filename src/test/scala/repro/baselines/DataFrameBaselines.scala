@@ -9,9 +9,11 @@ import repro.hash.SuperKeyHash
 
 /** The baselines as DataFrame plans, the reference [[Mcr]] and
   * [[JosieLite]] are compared with: MCR's per-column posting-list join
-  * and `groupBy` intersection, and both Josie adaptations' join of the
-  * candidate pairs with the ranked tables, each verified by
-  * [[MateSpark.discover]] on [[MateSpark.candidates]].
+  * and `groupBy` intersection, the Josie ranking as a `distinct`, a
+  * join, two `groupBy`s and an `orderBy` ([[topTablesByOverlap]]), and
+  * both Josie adaptations' join of the candidate pairs with the ranked
+  * tables, each verified by [[MateSpark.discover]] on
+  * [[MateSpark.candidates]].
   */
 object DataFrameBaselines {
 
@@ -34,18 +36,35 @@ object DataFrameBaselines {
     Mcr.Result(r.topK, plItems, r.metrics)
   }
 
+  /** Tables ranked by the best single-column overlap with `values`. */
+  def topTablesByOverlap(
+      postingLists: DataFrame,
+      values: Seq[String],
+      n: Int): DataFrame = {
+    val spark = postingLists.sparkSession
+    import spark.implicits._
+    val vdf = values.distinct.toDF("value")
+    postingLists.select($"value", $"tableId", $"colId").distinct()
+      .join(vdf, "value")
+      .groupBy($"tableId", $"colId").agg(count(lit(1)) as "overlap")
+      .groupBy($"tableId").agg(max($"overlap") as "overlap")
+      .orderBy(desc("overlap"), asc("tableId"))
+      .limit(n)
+      .select("tableId")
+  }
+
   def scrJosie(spark: SparkSession, postingLists: DataFrame, rowVals: DataFrame, q: QueryTable, k: Int,
                candidateFactor: Int = 5): JosieLite.Result = {
     val initCol = InitColumn.byCardinality(q.rows)
     val values  = q.tuples.map(t => SuperKeyHash.normalize(t(initCol)))
-    val tables  = JosieLite.topTablesByOverlap(postingLists, values, candidateFactor * k)
+    val tables  = topTablesByOverlap(postingLists, values, candidateFactor * k)
     restrictedScr(spark, postingLists, rowVals, q, k, tables, values.size.toLong)
   }
 
   def mcrJosie(spark: SparkSession, postingLists: DataFrame, rowVals: DataFrame, q: QueryTable, k: Int,
                candidateFactor: Int = 5): JosieLite.Result = {
     val tuples = q.tuples.map(_.map(SuperKeyHash.normalize))
-    val perCol = (0 until q.qSize).map(i => JosieLite.topTablesByOverlap(postingLists, tuples.map(_(i)), candidateFactor * k))
+    val perCol = (0 until q.qSize).map(i => topTablesByOverlap(postingLists, tuples.map(_(i)), candidateFactor * k))
     restrictedScr(spark, postingLists, rowVals, q, k, perCol.reduce(_.intersect(_)), tuples.flatten.distinct.size.toLong)
   }
 

@@ -207,9 +207,9 @@ class MateSparkSpec extends SparkSpec {
     * without `millis`.
     */
   private def baselinesOn(pls: DataFrame, rowVals: DataFrame, q: QueryTable): Seq[(Seq[(Long, Long)], Long, MateSpark.Metrics)] = {
-    val mcr = Mcr.run(spark, pls, rowVals, q, k)
-    val sj  = JosieLite.scrJosie(spark, pls, rowVals, q, k)
-    val mj  = JosieLite.mcrJosie(spark, pls, rowVals, q, k)
+    val mcr = Mcr.run(pls, rowVals, q, k)
+    val sj  = JosieLite.scrJosie(pls, rowVals, q, k)
+    val mj  = JosieLite.mcrJosie(pls, rowVals, q, k)
     Seq((mcr.topK, mcr.plItemsFetched, mcr.metrics), (sj.topK, sj.plItemsFetched, sj.metrics),
       (mj.topK, mj.plItemsFetched, mj.metrics)).map { case (t, n, m) => (t, n, m.copy(millis = 0)) }
   }
@@ -292,11 +292,14 @@ class MateSparkSpec extends SparkSpec {
 
   test("a query table with no rows yields an empty top-k and zero counters") {
     val q = QueryTable("empty", 0, Seq.empty)
+    assert(q.qSize == 0)
     assert(MateSpark.fetch(Fixtures.pls, q).isEmpty)
     for (h <- Seq(Some(Xash(128, 4)), None)) {
       val r = runWith(q, h)
       assert(r.topK.isEmpty)
       assert(r.metrics.copy(millis = 0) == zero)
     }
+    // MCR, SCR-Josie and MCR-Josie: no items fetched either
+    assert(baselinesOn(Fixtures.pls, Fixtures.rowVals, q) == Seq.fill(3)((Nil, 0L, zero)))
   }
 }

@@ -2,7 +2,7 @@ package repro.harness
 
 import repro.{Fixtures, SparkSpec}
 import repro.corpus.CorpusGen
-import repro.hash.{Hashes, Xash}
+import repro.hash.{Hashes, SuperKeyHash, Xash}
 import repro.index.InvertedIndex
 
 class ExperimentsSpec extends SparkSpec {
@@ -70,10 +70,23 @@ class ExperimentsSpec extends SparkSpec {
 
   test("initColumnExperiment bounds: Best ≤ Cardinality ≤ Worst") {
     val set = pc.queries.keys.head
-    val rs = Experiments.initColumnExperiment(spark, pc, set).map(r => r.heuristic -> r.avgPlItems).toMap
+    val rs = Experiments.initColumnExperiment(pc, set).map(r => r.heuristic -> r.avgPlItems).toMap
     assert(rs("Best") <= rs("Cardinality") + 1e-9)
     assert(rs("Cardinality") <= rs("Worst") + 1e-9)
     assert(rs("Best") <= rs("TLS") + 1e-9 && rs("Best") <= rs("Column Order") + 1e-9)
+  }
+
+  test("initColumnExperiment counts each query column's posting-list items as a per-column join does") {
+    import spark.implicits._
+    for (set <- pc.queries.keys) {
+      val expected = pc.queries(set).map { q =>
+        val tuples = q.tuples.map(_.map(SuperKeyHash.normalize))
+        (0 until q.qSize).map(i => pc.pls.join(tuples.map(_(i)).distinct.toDF("value"), "value").count())
+      }
+      assert(Experiments.columnPlItems(pc, set) == expected, set)
+      val best = Experiments.initColumnExperiment(pc, set).find(_.heuristic == "Best").get.avgPlItems
+      assert(best == expected.map(_.min.toDouble).sum / expected.size, set)
+    }
   }
 
   test("hashGrid covers the paper's Table 2 configurations") {
