@@ -20,6 +20,10 @@ import repro.hash.SuperKeyHash
   */
 object JosieLite {
 
+  /** `plItemsFetched` counts the posting-list items of the adaptation's
+    * one pass: the init column's for SCR-Josie, the sum over the query
+    * columns for MCR-Josie, as for [[Mcr]].
+    */
   final case class Result(topK: Seq[(Long, Long)], plItemsFetched: Long, metrics: MateSpark.Metrics)
 
   /** The `n` tables ranked first by their best single-column overlap
@@ -42,7 +46,7 @@ object JosieLite {
     val initCol = InitColumn.byCardinality(q.rows)
     val values  = q.tuples.map(t => SuperKeyHash.normalize(t(initCol)))
     val items   = MateSpark.fetchValues(postingLists, Seq(values)).head
-    restrictedScr(rowVals, q, k, items, topTablesByOverlap(items, candidateFactor * k).toSet, values.size.toLong)
+    restrictedScr(rowVals, q, k, items, topTablesByOverlap(items, candidateFactor * k).toSet, items.length.toLong)
   }
 
   /** MCR-Josie: Josie per query column, intersect the table sets, then
@@ -51,8 +55,7 @@ object JosieLite {
   def mcrJosie(postingLists: DataFrame, rowVals: DataFrame, q: QueryTable, k: Int, candidateFactor: Int = 5): Result = {
     val perCol = Mcr.fetchColumns(postingLists, q)
     val tables = Mcr.intersection(perCol.map(topTablesByOverlap(_, candidateFactor * k).toSet))
-    restrictedScr(rowVals, q, k, Mcr.initColumnItems(perCol, q), tables,
-      q.tuples.flatten.map(SuperKeyHash.normalize).distinct.size.toLong)
+    restrictedScr(rowVals, q, k, Mcr.initColumnItems(perCol, q), tables, perCol.map(_.length.toLong).sum)
   }
 
   /** SCR inside `tables`: the init-column posting-list items of those

@@ -30,43 +30,40 @@ import repro.util.Bits
   * [[run]] costs MATE and SCR one Spark job each:
   *
   *  1. '''the verification pass''' ([[verifyPass]], the only pass that
-  *     verifies), over the row values, zipped partition by partition
-  *     with the row super keys when there is a hash and the two have as
-  *     many partitions. A row's candidate tuples come from one of two
-  *     sources. [[run]] looks the row's values up, as the row map's own
-  *     bytes, in a map of the query's init values: the init column is
-  *     the one of minimum cardinality (§6.1), and a row's value map holds
-  *     every normalised cell of the row, so its init-column posting-list
-  *     items are exactly its values among the init values. Every other
-  *     caller looks the row's `(tableId, rowId)` up among the candidate
-  *     rows it found itself. A partition first drains its super keys into
-  *     a map; a candidate tuple is kept only if the row's super key masks
-  *     its query super key (`qsk ⊆ sk`, §6.3), and the survivors are
-  *     verified in place: [[Joinability.forEachMapping]] enumerates their
-  *     column mappings on the row map's key and value arrays. One compact
-  *     record per verified row comes back: table, pairs, cells, and flat
-  *     arrays of the matching tuple ids with their packed mappings. SCR
-  *     has no filter: its pass reads the row values alone and verifies
-  *     every candidate row.
-  *  2. '''the super keys of unseen rows''', the candidate rows whose
-  *     super key the pass did not find in their partition. The relations
-  *     [[repro.index.InvertedIndex]] builds hash-aggregate on
-  *     `(tableId, rowId)` and keep that partitioning when cached, so for
-  *     them there are none and no further job runs. Their plans cannot
-  *     show this in advance; for any other relations (uncached,
-  *     repartitioned, or with a different partition count, when the row
-  *     values are read alone) one pass over the row super keys alone
-  *     fetches those rows' super keys, the driver masks them, and the
-  *     verification pass runs again, unmasked, over the survivors.
-  *  3. '''top-k''', on the driver — the records fold into [[Metrics]]
+  *     verifies), over the row values. A row's candidate tuples come from
+  *     one of two sources. [[run]] looks the row's values up, as the row
+  *     map's own bytes, in a map of the query's init values: the init
+  *     column is the one of minimum cardinality (§6.1), and a row's value
+  *     map holds every normalised cell of the row, so its init-column
+  *     posting-list items are exactly its values among the init values.
+  *     Every other caller looks the row's `(tableId, rowId)` up among the
+  *     candidate rows it found itself. With a hash, a candidate tuple is
+  *     kept only if the row's super key masks its query super key
+  *     (`qsk ⊆ sk`, §6.3). The pass reads the row super keys in lockstep
+  *     with the row values, one key row per value row: a row's super key
+  *     is the aligned key row's when their `(tableId, rowId)` match, as
+  *     they do for keys built on the cached row values
+  *     ([[repro.index.InvertedIndex.rowSuperKeys]]), and otherwise
+  *     `hash.superKey` of the row's own values, computed in the task,
+  *     which gives the same bits. The survivors are verified in place:
+  *     [[Joinability.forEachMapping]] enumerates their column mappings on
+  *     the row map's key and value arrays. One compact record per
+  *     verified row comes back: table, pairs, cells, and flat arrays of
+  *     the matching tuple ids with their packed mappings. SCR has no
+  *     filter: its pass reads the row values alone and verifies every
+  *     candidate row.
+  *  2. '''top-k''', on the driver — the records fold into [[Metrics]]
   *     and, per table, into a [[Joinability.TableScore]], the best
   *     mapping's distinct-tuple count; the k best under
   *     `(-j, tableId)` are returned.
   *
-  * [[discover]] is an adapter over steps 1–3 for candidate pairs found
+  * [[discover]] is an adapter over steps 1–2 for candidate pairs found
   * as a DataFrame ([[candidates]]); the benchmark's traced path calls
-  * it. The baselines select init-column posting-list items their own
-  * way and hand them to [[verifyItems]]: steps 1 and 3, unmasked.
+  * it. It has no hash, so one pass over the row super keys alone fetches
+  * its candidate rows' keys, the driver masks them, and step 1 verifies
+  * the survivors unmasked. The baselines select init-column posting-list
+  * items their own way and hand them to [[verifyItems]]: steps 1 and 2,
+  * unmasked.
   * [[fetch]] and [[fetchAll]] return the init-column posting-list items
   * themselves, the input of the sequential Algorithm 1 ([[MateLocal]]).
   * The sequential table-filter rules (Algorithm 1 lines 9/14) depend on
@@ -136,8 +133,10 @@ object MateSpark {
   }
 
   /** Row filtering + verification + top-k of fetched candidates: the
-    * candidate pairs are collected to the driver and verified as
-    * [[run]] verifies its own.
+    * candidate pairs are collected to the driver; with a filter, one
+    * pass over the row super keys fetches their rows' keys and the
+    * driver masks them. The survivors are verified as [[run]] verifies
+    * its own.
     *
     * @param cand     candidate pairs from [[candidates]]
     * @param rowVals  per-row value maps ([[repro.index.InvertedIndex.rowValues]])
@@ -155,13 +154,21 @@ object MateSpark {
     val tuples  = fetched.iterator.map(r => r.getInt(2) -> r.getSeq[String](3)).toMap
     val qIds    = tuples.keys.toArray // tuple i below is the one with qTupleId qIds(i)
     val at      = qIds.zipWithIndex.toMap
-    val masks   = filter.map { case (rowSk, querySk) =>
-      val qsk = querySk.select("qTupleId", "qsk").collect().map(r => r.getInt(0) -> r.getAs[Array[Byte]](1)).toMap
-      (rowSk, qIds.map(qsk))
+    val cands   = Rows.ofPairs(fetched.map(r => (r.getLong(0), r.getLong(1), at(r.getInt(2)))))
+    val kept    = filter.fold(cands) { case (rowSk, querySk) =>
+      val qskOf = querySk.select("qTupleId", "qsk").collect().map(q => q.getInt(0) -> q.getAs[Array[Byte]](1)).toMap
+      val qsk   = qIds.map(qskOf)
+      val Seq(t, r, s) = fieldIndices(rowSk, "tableId", "rowId", "sk")
+      val sks = perCore(rowSk.queryExecution.toRdd.mapPartitions { rows =>
+        val at = cands.index
+        rows.flatMap(row => at.get((row.getLong(t), row.getLong(r))).map(_ -> row.getBinary(s)))
+      }).collect()
+      Rows(sks.iterator.map { case (i, sk) =>
+        (cands.tables(i), cands.rows(i)) -> cands.idsOf(i).filter(id => Bits.subsetOf(qsk(id), sk))
+      }.filter(_._2.nonEmpty))
     }
-    val cands = Rows.ofPairs(fetched.map(r => (r.getLong(0), r.getLong(1), at(r.getInt(2)))))
-    val (records, candidatePairs) = verify(rowVals, masks, cands, qIds.map(tuples(_).toArray))
-    result(records, candidatePairs, masks.isDefined, k, t0)
+    val (records, _) = verifyPass(rowVals, None, kept, qIds.map(tuples(_).toArray))
+    result(records, cands.ids.length, filter.isDefined, k, t0)
   }
 
   /** The normalised init-column values of `q`'s tuples, tuple `i`'s at `i`. */
@@ -223,9 +230,9 @@ object MateSpark {
       k: Int): Result = {
     val t0     = System.nanoTime()
     val tuples = normTuples(q)
-    val masks  = for (sk <- rowSk; h <- hash) yield (sk, tuples.map(h.superKey).toArray)
-    val (records, candidatePairs) = verify(rowVals, masks, ValueIds(initValues(q).zipWithIndex), tuples.map(_.toArray).toArray)
-    result(records, candidatePairs, masks.isDefined, k, t0)
+    val mask   = for (sk <- rowSk; h <- hash) yield Mask(sk, h, tuples.map(h.superKey).toArray)
+    val (records, candidatePairs) = verifyPass(rowVals, mask, ValueIds(initValues(q).zipWithIndex), tuples.map(_.toArray).toArray)
+    result(records, candidatePairs, mask.isDefined, k, t0)
   }
 
   /** SCR's verification and top-k of `items`, init-column posting-list
@@ -236,7 +243,7 @@ object MateSpark {
     val t0     = System.nanoTime()
     val idsOf  = initValues(q).zipWithIndex.groupMap(_._1)(_._2)
     val cands  = Rows.ofPairs(items.flatMap { case (t, r, v) => idsOf.getOrElse(v, Nil).map((t, r, _)) })
-    val (records, candidatePairs) = verify(rowVals, None, cands, normTuples(q).map(_.toArray).toArray)
+    val (records, candidatePairs) = verifyPass(rowVals, None, cands, normTuples(q).map(_.toArray).toArray)
     result(records, candidatePairs, masked = false, k, t0)
   }
 
@@ -350,82 +357,59 @@ object MateSpark {
     (table, ids.length, cols.length, hitIds.result(), hitMappings.result())
   }
 
-  /** The verification pass (step 1): one pass over the row values,
-    * zipped with the row super keys when `masks` (the row super keys and
-    * each query tuple's super key) is set and the two have as many
-    * partitions. Returns the records, the number of candidate pairs, and
-    * the candidate rows whose super key the pass did not find in their
-    * partition, unmasked.
+  /** What [[verifyPass]] masks with: the row super keys `rowSk`, the
+    * `hash` they were built with, and each query tuple's super key.
+    */
+  private final case class Mask(rowSk: DataFrame, hash: SuperKeyHash, qsk: Array[Array[Byte]])
+
+  /** `hash.superKey` of the values of the row map `m`. */
+  private def superKeyOf(hash: SuperKeyHash, m: MapData): Array[Byte] = {
+    val vals = m.valueArray()
+    hash.superKey(Seq.tabulate(vals.numElements())(vals.getUTF8String(_).toString))
+  }
+
+  /** The verification pass (step 1): one pass over the row values. With
+    * a `mask` it is zipped with the row super keys when the two have as
+    * many partitions, one key row read per value row; a row whose key
+    * row is another row's (or missing) takes [[superKeyOf]] its values.
+    * Returns the records and the number of candidate pairs.
     */
   private def verifyPass(
       rowVals: DataFrame,
-      masks: Option[(DataFrame, Array[Array[Byte]])],
+      mask: Option[Mask],
       cands: Candidates,
-      tuples: Array[Array[String]]): (Array[Record], Long, Rows) = {
+      tuples: Array[Array[String]]): (Array[Record], Long) = {
     val Seq(vt, vr, v) = fieldIndices(rowVals, "tableId", "rowId", "vals")
-    val skFields       = masks.map { case (rowSk, _) => fieldIndices(rowSk, "tableId", "rowId", "sk") }
-    val qsk            = masks.map(_._2)
-    def pass(sks: Iterator[InternalRow], vals: Iterator[InternalRow]): Iterator[(Array[Record], Long, Array[((Long, Long), Array[Int])])] = {
-      val skOf = mutable.HashMap.empty[(Long, Long), Array[Byte]]
-      for (Seq(st, sr, s) <- skFields; row <- sks) skOf((row.getLong(st), row.getLong(sr))) = row.getBinary(s)
+    val Seq(st, sr, s) = mask.fold(Seq(0, 0, 0))(m => fieldIndices(m.rowSk, "tableId", "rowId", "sk"))
+    val hashQsk        = mask.map(m => (m.hash, m.qsk))
+    def pass(sks: Iterator[InternalRow], vals: Iterator[InternalRow]): Iterator[(Array[Record], Long)] = {
       val idsOf   = cands.finder(vt, vr)
       val records = Array.newBuilder[Record]
-      val unseen  = Array.newBuilder[((Long, Long), Array[Int])]
       var pairs   = 0L
       for (row <- vals) {
-        val m   = row.getMap(v)
-        val ids = idsOf(row, m)
+        val skRow = if (sks.hasNext) sks.next() else null
+        val m     = row.getMap(v)
+        val ids   = idsOf(row, m)
         if (ids.nonEmpty) {
           pairs += ids.length
           val table = row.getLong(vt)
-          qsk match {
+          hashQsk match {
             case None => records += verifyRow(table, m, ids, tuples)
-            case Some(q) =>
-              val key = (table, row.getLong(vr))
-              skOf.get(key) match {
-                case Some(sk) =>
-                  val kept = ids.filter(id => Bits.subsetOf(q(id), sk))
-                  if (kept.nonEmpty) records += verifyRow(table, m, kept, tuples)
-                case None => unseen += key -> ids
-              }
+            case Some((hash, qsk)) =>
+              val aligned = skRow != null && skRow.getLong(st) == table && skRow.getLong(sr) == row.getLong(vr)
+              val sk      = if (aligned) skRow.getBinary(s) else superKeyOf(hash, m)
+              val kept    = ids.filter(id => Bits.subsetOf(qsk(id), sk))
+              if (kept.nonEmpty) records += verifyRow(table, m, kept, tuples)
           }
         }
       }
-      Iterator.single((records.result(), pairs, unseen.result()))
+      Iterator.single((records.result(), pairs))
     }
     val vals   = rowVals.queryExecution.toRdd
-    val sks    = masks.map(_._1.queryExecution.toRdd).filter(_.getNumPartitions == vals.getNumPartitions)
+    val sks    = mask.map(_.rowSk.queryExecution.toRdd).filter(_.getNumPartitions == vals.getNumPartitions)
     val passes = sks.fold(vals.mapPartitions(pass(Iterator.empty, _)))(_.zipPartitions(vals)(pass))
     val parts  = perCore(passes).collect()
-    (parts.flatMap(_._1), parts.iterator.map(_._2).sum, Rows(parts.iterator.flatMap(_._3)))
-  }
-
-  /** Steps 1 and 2: [[verifyPass]], then for the rows it did not see
-    * masked, one pass over the row super keys alone fetches their super
-    * keys, the driver masks them, and [[verifyPass]] verifies the
-    * survivors unmasked. Returns the records and the number of candidate
-    * pairs.
-    */
-  private def verify(
-      rowVals: DataFrame,
-      masks: Option[(DataFrame, Array[Array[Byte]])],
-      cands: Candidates,
-      tuples: Array[Array[String]]): (Array[Record], Long) = {
-    val (found, candidatePairs, unseen) = verifyPass(rowVals, masks, cands, tuples)
-    masks match {
-      case Some((rowSk, qsk)) if unseen.tables.nonEmpty =>
-        val Seq(t, r, s) = fieldIndices(rowSk, "tableId", "rowId", "sk")
-        val sks = perCore(rowSk.queryExecution.toRdd.mapPartitions { rows =>
-          val at = unseen.index
-          rows.flatMap(row => at.get((row.getLong(t), row.getLong(r))).map(_ -> row.getBinary(s)))
-        }).collect()
-        val kept = Rows(sks.iterator.map { case (i, sk) =>
-          (unseen.tables(i), unseen.rows(i)) -> unseen.idsOf(i).filter(id => Bits.subsetOf(qsk(id), sk))
-        }.filter(_._2.nonEmpty))
-        if (kept.tables.isEmpty) (found, candidatePairs)
-        else (found ++ verifyPass(rowVals, None, kept, tuples)._1, candidatePairs)
-      case _ => (found, candidatePairs)
-    }
+    (parts.flatMap(_._1), parts.iterator.map(_._2).sum)
   }
 
   /** The driver-side fold of the verified `records` of `candidatePairs`

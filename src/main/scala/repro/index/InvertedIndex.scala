@@ -1,13 +1,9 @@
 package repro.index
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Aggregator
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.Encoder
-import org.apache.spark.sql.Encoders
 
 import repro.hash.SuperKeyHash
-import repro.util.Bits
 
 /** The paper's extended inverted index (§5.1):
   *
@@ -15,26 +11,17 @@ import repro.util.Bits
   *
   * built as a Spark dataflow over the cells DataFrame:
   *
-  *  1. every cell value is hashed with the configured [[SuperKeyHash]]
-  *     via a DataFrame UDF, and
-  *  2. the per-row super key is the bit-wise OR aggregation of those
-  *     hashes (`groupBy(tableId, rowId)` + custom [[OrAgg]] UDAF).
+  *  1. the cells are grouped into per-row value maps ([[rowValues]]),
+  *     and
+  *  2. a row's super key is the bit-wise OR of the configured
+  *     [[SuperKeyHash]]'s hashes of its values, one UDF call per row of
+  *     the row values ([[rowSuperKeys]]).
   *
   * Values are normalised by [[SuperKeyHash.normalize]] on the index
   * side (as a UDF) and on the query side, so joins match the paper's
   * exact-value equality.
   */
 object InvertedIndex {
-
-  /** Bit-wise OR aggregator over binary super keys. */
-  final class OrAgg(bits: Int) extends Aggregator[Array[Byte], Array[Byte], Array[Byte]] {
-    override def zero: Array[Byte] = Bits.zero(bits)
-    override def reduce(b: Array[Byte], a: Array[Byte]): Array[Byte] = Bits.orInPlace(b, a)
-    override def merge(b1: Array[Byte], b2: Array[Byte]): Array[Byte] = Bits.orInPlace(b1, b2)
-    override def finish(r: Array[Byte]): Array[Byte] = r
-    override def bufferEncoder: Encoder[Array[Byte]] = Encoders.BINARY
-    override def outputEncoder: Encoder[Array[Byte]] = Encoders.BINARY
-  }
 
   /** [[SuperKeyHash.normalize]] as a UDF: the one definition the index
     * and the queries share. A mirror in Catalyst expressions drifts from
@@ -63,14 +50,17 @@ object InvertedIndex {
     postingLists(cells).groupBy("tableId", "rowId")
       .agg(map_from_entries(collect_list(struct(col("colId"), col("value")))) as "vals")
 
-  /** Per-row super keys `(tableId, rowId, sk)` for one hash function —
-    * the XASH-per-cell UDF followed by the OR aggregation.
+  /** Per-row super keys `(tableId, rowId, sk)` for one hash function: a
+    * row's `sk` is `hash.superKey` of its [[rowValues]]. Every hash
+    * normalises what it hashes, so the normalised values give the bits
+    * of the raw cells. A narrow map: built after the row values are
+    * cached, the keys read that cache and keep its partitions and its
+    * row order, which [[repro.core.MateSpark]] relies on to read them in
+    * lockstep with the row values.
     */
   def rowSuperKeys(cells: DataFrame, hash: SuperKeyHash): DataFrame = {
-    val hashUdf = udf((v: String) => hash.hash(v))
-    val orAgg   = udaf(new OrAgg(hash.bits))
-    cells.groupBy("tableId", "rowId")
-      .agg(orAgg(hashUdf(col("value"))) as "sk")
+    val superKey = udf((vals: Seq[String]) => hash.superKey(vals))
+    rowValues(cells).select(col("tableId"), col("rowId"), superKey(map_values(col("vals"))) as "sk")
   }
 
   /** The full §5.1 index `(value, tableId, colId, rowId, sk)`. */

@@ -37,10 +37,12 @@ object Fixtures {
   lazy val rowVals: DataFrame = InvertedIndex.rowValues(corpus.cells).cache()
 
   // Keyed on the hash instance itself (case-class equality) — the display
-  // name alone collides for e.g. BF-128 with different hash counts.
+  // name alone collides for e.g. BF-128 with different hash counts. The
+  // row values are cached first, so the keys are a narrow map over that
+  // cache, aligned with it row by row, as in the program.
   private val skCache = TrieMap.empty[SuperKeyHash, DataFrame]
   def rowSk(h: SuperKeyHash): DataFrame =
-    skCache.getOrElseUpdate(h, InvertedIndex.rowSuperKeys(corpus.cells, h).cache())
+    skCache.getOrElseUpdate(h, { rowVals.count(); InvertedIndex.rowSuperKeys(corpus.cells, h).cache() })
 
   /** `q`'s posting-list items fetched from the Spark index — the
     * Vertica-fetch step of the paper's architecture — with `h`'s row

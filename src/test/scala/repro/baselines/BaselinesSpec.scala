@@ -148,5 +148,10 @@ class BaselinesSpec extends SparkSpec {
     assert(mcr.metrics.rowsChecked == mcr.metrics.tpRows + mcr.metrics.fpRows)
     val sj = JosieLite.scrJosie(Fixtures.pls, Fixtures.rowVals, q, k)
     assert(sj.metrics.rowsChecked == sj.metrics.tpRows + sj.metrics.fpRows)
+    // posting-list items: SCR-Josie's of the init column, MCR-Josie's of every column, as MCR's
+    val initCol = repro.core.InitColumn.byCardinality(q.rows)
+    val initValues = q.tuples.map(t => SuperKeyHash.normalize(t(initCol)))
+    assert(sj.plItemsFetched == MateSpark.fetchValues(Fixtures.pls, Seq(initValues)).head.length)
+    assert(JosieLite.mcrJosie(Fixtures.pls, Fixtures.rowVals, q, k).plItemsFetched == mcr.plItemsFetched)
   }
 }

@@ -58,14 +58,24 @@ object DataFrameBaselines {
     val initCol = InitColumn.byCardinality(q.rows)
     val values  = q.tuples.map(t => SuperKeyHash.normalize(t(initCol)))
     val tables  = topTablesByOverlap(postingLists, values, candidateFactor * k)
-    restrictedScr(spark, postingLists, rowVals, q, k, tables, values.size.toLong)
+    restrictedScr(spark, postingLists, rowVals, q, k, tables, plItems(spark, postingLists, Seq(values)))
   }
 
   def mcrJosie(spark: SparkSession, postingLists: DataFrame, rowVals: DataFrame, q: QueryTable, k: Int,
                candidateFactor: Int = 5): JosieLite.Result = {
     val tuples = q.tuples.map(_.map(SuperKeyHash.normalize))
-    val perCol = (0 until q.qSize).map(i => topTablesByOverlap(postingLists, tuples.map(_(i)), candidateFactor * k))
-    restrictedScr(spark, postingLists, rowVals, q, k, perCol.reduce(_.intersect(_)), tuples.flatten.distinct.size.toLong)
+    val columns = (0 until q.qSize).map(i => tuples.map(_(i)))
+    val perCol  = columns.map(topTablesByOverlap(postingLists, _, candidateFactor * k))
+    restrictedScr(spark, postingLists, rowVals, q, k, perCol.reduce(_.intersect(_)), plItems(spark, postingLists, columns))
+  }
+
+  /** The posting-list items holding a value of each of `valueSets`,
+    * summed over the sets: the rows of each set's join with the posting
+    * lists.
+    */
+  private def plItems(spark: SparkSession, postingLists: DataFrame, valueSets: Seq[Seq[String]]): Long = {
+    import spark.implicits._
+    valueSets.map(vs => postingLists.join(vs.distinct.toDF("value"), "value").count()).sum
   }
 
   private def restrictedScr(spark: SparkSession, postingLists: DataFrame, rowVals: DataFrame, q: QueryTable, k: Int,

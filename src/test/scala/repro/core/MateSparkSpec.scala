@@ -146,6 +146,25 @@ class MateSparkSpec extends SparkSpec {
     }
   }
 
+  test("one MateSpark.run launches exactly 1 Spark job when the row super keys are not aligned with the row values") {
+    val q        = Fixtures.queries3.head
+    val h        = Xash(128, 4)
+    val expected = runWith(q, Some(h))
+    val n        = Fixtures.rowVals.queryExecution.toRdd.getNumPartitions
+    // cached keys in more partitions than the row values, and in as many but placed round-robin
+    for ((how, keys) <- Seq("mismatched" -> Fixtures.rowSk(h).repartition(n + 1), "scattered" -> Fixtures.rowSk(h).repartition(n))) {
+      val rowSk = keys.cache()
+      rowSk.count()
+      def call() = MateSpark.run(spark, Fixtures.pls, Fixtures.rowVals, Some(rowSk), Some(h), q, k)
+      call()
+      val (r, counts) = SparkJobCounter(spark)(call())
+      assert(counts.jobs == 1, s"$how: ${counts.jobs} Spark jobs")
+      assert(r.topK == expected.topK, how)
+      assert(r.metrics.copy(millis = 0) == expected.metrics.copy(millis = 0), how)
+      rowSk.unpersist()
+    }
+  }
+
   test("fetchAll fetches every query's items in one Spark job, as fetch does per query") {
     val (all, counts) = SparkJobCounter(spark)(MateSpark.fetchAll(Fixtures.pls, Fixtures.allQueries))
     assert(counts.jobs == 1)

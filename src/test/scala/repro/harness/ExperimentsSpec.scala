@@ -37,6 +37,7 @@ class ExperimentsSpec extends SparkSpec {
 
   test("runConfig with XASH filters at least as hard as SCR") {
     val h = Xash(128, 4)
+    pc.rowVals.count() // cached before the keys, as prepare's callers do
     val sk = InvertedIndex.rowSuperKeys(Fixtures.corpus.cells, h).cache()
     val skMap = sk.collect().map(r => (r.getLong(0), r.getLong(1)) -> r.getAs[Array[Byte]]("sk")).toMap
     val set = pc.queries.keys.head
@@ -49,6 +50,7 @@ class ExperimentsSpec extends SparkSpec {
 
   test("runLocal agrees with ground truth regardless of filter") {
     val h = Xash(128, 4)
+    pc.rowVals.count() // cached before the keys, as prepare's callers do
     val sk = InvertedIndex.rowSuperKeys(Fixtures.corpus.cells, h).cache()
     val skMap = sk.collect().map(r => (r.getLong(0), r.getLong(1)) -> r.getAs[Array[Byte]]("sk")).toMap
     for ((set, qs) <- pc.queries; q <- qs) {

@@ -1,16 +1,19 @@
 package repro.index
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.expressions.ScalaUDF
-import org.apache.spark.sql.execution.columnar.InMemoryRelation
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.aggregate.BaseAggregateExec
+import org.apache.spark.sql.execution.columnar.{InMemoryRelation, InMemoryTableScanExec}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{IntegerType, LongType, MapType, StringType, StructField, StructType}
 import repro.{Fixtures, Oracle, SparkSpec}
 import repro.core.Joinability
 import repro.corpus.CorpusGen
-import repro.hash.{BloomHashes, SuperKeyHash, Xash}
+import repro.hash.{BloomHashes, Hashes, SuperKeyHash, Xash}
 import repro.util.Bits
 
-class InvertedIndexSpec extends SparkSpec {
+class InvertedIndexSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   test("posting lists: one PL item per cell, normalised value") {
     assert(Fixtures.pls.count() == Fixtures.corpus.cells.count())
@@ -60,6 +63,25 @@ class InvertedIndexSpec extends SparkSpec {
     pls.unpersist()
   }
 
+  test("row super keys read the cached row values' InMemoryRelation with no Aggregate, aligned with them row by row") {
+    val h = Xash(128, 4)
+    def cached(df: DataFrame): InMemoryRelation =
+      df.queryExecution.optimizedPlan.collectFirst { case r: InMemoryRelation => r }.get
+    val vals = cached(Fixtures.rowVals)
+    val plan = cached(Fixtures.rowSk(h)).cacheBuilder.cachedPlan
+    assert(find(plan) { case s: InMemoryTableScanExec => s.relation.cacheBuilder eq vals.cacheBuilder; case _ => false }.isDefined,
+      plan.treeString)
+    assert(find(plan)(_.isInstanceOf[BaseAggregateExec]).isEmpty, plan.treeString)
+    def byPartition(df: DataFrame): Seq[Vector[(Long, Long)]] = {
+      val Seq(t, r) = Seq("tableId", "rowId").map(df.schema.fieldIndex)
+      df.queryExecution.toRdd.mapPartitions(rows => Iterator.single(rows.map(row => (row.getLong(t), row.getLong(r))).toVector))
+        .collect().toSeq
+    }
+    val (keys, rows) = (byPartition(Fixtures.rowSk(h)), byPartition(Fixtures.rowVals))
+    assert(rows.count(_.nonEmpty) > 1)
+    assert(keys == rows)
+  }
+
   test("posting-list counts per value match DuckDB GROUP BY (oracle)") {
     val sparkCounts = Fixtures.pls.groupBy("value").agg(count(lit(1)) as "cnt")
     Oracle.assertEquivalent(
@@ -78,16 +100,40 @@ class InvertedIndexSpec extends SparkSpec {
     assert(sizes == 0)
   }
 
-  for (hash <- Seq[SuperKeyHash](Xash(128, 4), BloomHashes.Bf(128, 8))) {
-    test(s"[$hash] per-row super keys equal the local OR-aggregation of cell hashes") {
-      val sk = Fixtures.rowSk(hash).collect()
-        .map(r => (r.getLong(0), r.getLong(1)) -> r.getAs[Array[Byte]]("sk")).toMap
-      for ((t, rows) <- Fixtures.localTables.take(10); (r, vals) <- rows.take(5)) {
-        val expected = hash.superKey(vals.values)
-        assert(Bits.equal(sk((t, r)), expected), s"super key mismatch at table $t row $r")
-      }
-    }
+  /** Cells with upper case, a stray tab, newline and space, a `null`
+    * cell and non-ASCII text.
+    */
+  private lazy val craftedCells = {
+    import spark.implicits._
+    Seq(
+      Seq("Berlin", "\tGERMANY", "Mitte\n"),
+      Seq(" Ärger ", null, "ΣΟΦΊΑ"),
+      Seq("İstanbul", "Straße", " ", ""),
+      Seq("x", "X", " x\t"))
+      .zipWithIndex.flatMap { case (vs, r) => vs.zipWithIndex.map { case (v, c) => CorpusGen.Cell(r % 2L, c, r.toLong, v) } }
+      .toDS().toDF()
+  }
 
+  private def superKeys(rowSk: DataFrame): Map[(Long, Long), Array[Byte]] =
+    rowSk.collect().map(r => (r.getAs[Long]("tableId"), r.getAs[Long]("rowId")) -> r.getAs[Array[Byte]]("sk")).toMap
+
+  for (bits <- Seq(128, 512); name <- Hashes.all) {
+    test(s"[${Hashes.byName(name, bits)}] per-row super keys equal the local OR-aggregation of cell hashes") {
+      val hash = Hashes.byName(name, bits, Fixtures.corpus.avgColumns, Fixtures.corpus.uniqueValues)
+      for ((what, cells, sk) <- Seq(("fixture", Fixtures.corpus.cells, Fixtures.rowSk(hash)),
+                                    ("crafted", craftedCells, InvertedIndex.rowSuperKeys(craftedCells, hash)))) {
+        val raw = cells.collect().groupMap(c => (c.getLong(0), c.getLong(2)))(_.getString(3))
+        val got = superKeys(sk)
+        assert(got.keySet == raw.keySet, what)
+        for ((row, vals) <- raw) assert(Bits.equal(got(row), hash.superKey(vals)), s"$what: super key mismatch at $row")
+      }
+      // the keys hash the normalised values; the raw cells give the same bits
+      for (v <- craftedCells.collect().map(_.getString(3)))
+        assert(Bits.equal(hash.hash(v), hash.hash(SuperKeyHash.normalize(v))), s"hash of ${Option(v).map(_.map(_.toInt))}")
+    }
+  }
+
+  for (hash <- Seq[SuperKeyHash](Xash(128, 4), BloomHashes.Bf(128, 8))) {
     test(s"[$hash] index no-false-negatives: every truly joinable row passes the mask (§6.3)") {
       val sk = Fixtures.rowSk(hash).collect()
         .map(r => (r.getLong(0), r.getLong(1)) -> r.getAs[Array[Byte]]("sk")).toMap
@@ -120,7 +166,7 @@ class InvertedIndexSpec extends SparkSpec {
     assert(perCell.toDouble / perRow > 2.0) // avg columns ≥ 3 in the fixture corpus
   }
 
-  test("OrAgg is associative/commutative over partitions (stable under repartition)") {
+  test("row super keys are stable when the cells are repartitioned") {
     val h = Xash(128, 4)
     val a = InvertedIndex.rowSuperKeys(Fixtures.corpus.cells.repartition(1), h)
       .collect().map(r => (r.getLong(0), r.getLong(1)) -> r.getAs[Array[Byte]]("sk")).toMap
